@@ -155,11 +155,3 @@ const CaseRegistrar kAsync(
     runAsyncResynth);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

@@ -65,11 +65,3 @@ const CaseRegistrar kFig10(
     runFig10);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

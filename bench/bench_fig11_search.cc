@@ -106,11 +106,3 @@ const CaseRegistrar kFig11(
     runFig11);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

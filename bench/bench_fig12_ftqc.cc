@@ -95,11 +95,3 @@ const CaseRegistrar kFig12TwoQubit(
     runFig12TwoQubit);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

@@ -66,11 +66,3 @@ const CaseRegistrar kFig13(
     130, runFig13);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

@@ -129,11 +129,3 @@ const CaseRegistrar kFig14("fig14", "GUOQ on PyZX output (clifford+t)",
                            140, runFig14);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

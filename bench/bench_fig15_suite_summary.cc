@@ -92,11 +92,3 @@ const CaseRegistrar kFig15(
     "fig15", "benchmark suite composition per gate set", 150, runFig15);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

@@ -142,11 +142,3 @@ const CaseRegistrar kFig1(
     runFig1);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

@@ -107,11 +107,3 @@ const CaseRegistrar kFig7(
     runFig7);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

@@ -117,11 +117,3 @@ const CaseRegistrar kFig8Fidelity(
     runFig8Fidelity);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

@@ -103,11 +103,3 @@ const CaseRegistrar kFig9Fidelity(
     runFig9Fidelity);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

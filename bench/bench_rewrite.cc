@@ -30,7 +30,7 @@
 #include "core/cost.h"
 #include "ir/circuit.h"
 #include "ir/gate_set.h"
-#include "rewrite/applier.h"
+#include "reference/applier.h"
 #include "rewrite/engine.h"
 #include "rewrite/rule.h"
 #include "support/logging.h"
@@ -277,11 +277,3 @@ const CaseRegistrar kRewriteThroughput(
     330, runRewriteThroughput);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

@@ -251,11 +251,3 @@ const CaseRegistrar kStatevector("statevector",
                                  320, runStatevector);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

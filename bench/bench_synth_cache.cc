@@ -149,11 +149,3 @@ const CaseRegistrar kSynthCache("synthcache",
                                 310, runSynthCache);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

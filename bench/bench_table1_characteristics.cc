@@ -7,10 +7,11 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/harness.h"
 #include "bench/registry.h"
-#include "rewrite/applier.h"
+#include "core/transformation.h"
 #include "rewrite/rule.h"
 #include "support/rng.h"
 #include "support/table.h"
@@ -33,7 +34,9 @@ runTable1(CaseContext &ctx)
     const ir::GateSetKind set = ir::GateSetKind::Nam;
     const ir::Circuit circuit =
         transpile::toGateSet(workloads::qft(8), set);
-    const auto &rules = rewrite::rulesFor(set);
+    std::vector<core::Transformation> rules;
+    for (const rewrite::RewriteRule &rule : rewrite::rulesFor(set))
+        rules.push_back(core::Transformation::fromRule(&rule));
 
     // The pretty table shows trial 0, matching the legacy single run.
     double rewrite_us = 0, resynth_ms_2q = 0, resynth_ms_3q = 0;
@@ -46,8 +49,7 @@ runTable1(CaseContext &ctx)
         support::Timer t1;
         const int passes = 5000;
         for (int i = 0; i < passes; ++i)
-            rewrite::applyRulePassRandom(
-                circuit, rules[rng.index(rules.size())], rng);
+            (void)rules[rng.index(rules.size())].apply(circuit, rng);
         const double trial_rewrite_us = t1.seconds() / passes * 1e6;
 
         // Slow path latency: resynthesis of 2- and 3-qubit
@@ -130,11 +132,3 @@ const CaseRegistrar kTable1(
     runTable1);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

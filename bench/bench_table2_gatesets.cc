@@ -61,11 +61,3 @@ const CaseRegistrar kTable2(
     runTable2);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

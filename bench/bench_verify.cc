@@ -101,11 +101,3 @@ const CaseRegistrar kVerify(
     runVerify);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

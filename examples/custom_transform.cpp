@@ -1,21 +1,19 @@
 /**
  * @file
  * Extending the framework (paper §4): circuit transformations are
- * closed boxes, so user code can plug its own τ_ε's in. This example
- * instantiates the primitives directly — rule passes, 1q fusion, and
- * a resynthesis call on a hand-picked subcircuit — and composes them
- * manually while tracking the Thm. 4.2 additive error bound.
+ * closed boxes, so user code can compose them directly. This example
+ * applies the production τ_ε's one at a time — rule passes, 1q
+ * fusion, and resynthesis of a random convex subcircuit — while
+ * tracking the Thm. 4.2 additive error bound by hand.
  *
  * Run: ./examples/custom_transform
  */
 
 #include <cstdio>
 
-#include "dag/subcircuit.h"
-#include "rewrite/applier.h"
+#include "core/transformation.h"
 #include "rewrite/rule.h"
 #include "sim/unitary_sim.h"
-#include "synth/resynth.h"
 #include "transpile/to_gate_set.h"
 #include "workloads/simulation.h"
 
@@ -36,39 +34,34 @@ main()
     // Transformation 1 (ε = 0): one full pass of every library rule.
     support::Rng rng(5);
     for (const rewrite::RewriteRule &rule : rewrite::rulesFor(set)) {
-        const rewrite::PassResult r =
-            rewrite::applyRulePassRandom(circuit, rule, rng);
-        if (r.applications > 0)
-            circuit = r.circuit;
+        const core::Transformation tau =
+            core::Transformation::fromRule(&rule);
+        if (auto out = tau.apply(circuit, rng))
+            circuit = std::move(out->circuit);
     }
     std::printf("after rule passes:        %zu gates (error bound "
                 "%.1e)\n",
                 circuit.size(), error_bound);
 
     // Transformation 2 (ε = 0): exact 1q-run fusion.
-    circuit = transpile::fuseOneQubitRuns(circuit, set);
+    if (auto out = core::Transformation::fusion(set).apply(circuit, rng))
+        circuit = std::move(out->circuit);
     std::printf("after 1q fusion:          %zu gates (error bound "
                 "%.1e)\n",
                 circuit.size(), error_bound);
 
-    // Transformation 3 (ε > 0): resynthesize a convex subcircuit. The
-    // measured distance is charged against the budget (Thm. 4.2: the
-    // final error is at most the sum of the step errors).
+    // Transformation 3 (ε > 0): resynthesize a random convex subcircuit
+    // of at most 3 qubits within ε = 1e-6, 3 s per call. The measured
+    // distance is charged against the budget (Thm. 4.2: the final
+    // error is at most the sum of the step errors).
+    const core::Transformation resynth =
+        core::Transformation::resynthesis(set, 1e-6, 3.0, 3);
     for (int attempt = 0; attempt < 30; ++attempt) {
-        const dag::SubcircuitSelection sel =
-            dag::randomConvex(circuit, rng, 3, 24, 6);
-        if (sel.size() < 4)
+        auto out = resynth.apply(circuit, rng);
+        if (!out)
             continue;
-        synth::ResynthOptions opts;
-        opts.targetSet = set;
-        opts.epsilon = 1e-6;
-        opts.deadline = support::Deadline::in(3.0);
-        const synth::ResynthResult r =
-            synth::resynthesize(dag::extract(circuit, sel), opts, rng);
-        if (!r.success)
-            continue;
-        circuit = dag::splice(circuit, sel, r.circuit);
-        error_bound += r.distance;
+        circuit = std::move(out->circuit);
+        error_bound += out->epsilonSpent;
         std::printf("after resynthesis splice: %zu gates (error bound "
                     "%.1e)\n",
                     circuit.size(), error_bound);

@@ -1,9 +1,10 @@
-#include "rewrite/applier.h"
+/** @file The legacy rule pass, kept as the engine's reference oracle. */
 
-#include <algorithm>
+#include "reference/applier.h"
+
 #include <map>
+#include <vector>
 
-#include "rewrite/engine.h"
 #include "rewrite/matcher.h"
 
 namespace guoq {
@@ -68,29 +69,6 @@ applyRulePassRandom(const ir::Circuit &c, const RewriteRule &rule,
 {
     const std::size_t anchor = c.empty() ? 0 : rng.index(c.size());
     return applyRulePass(c, rule, anchor);
-}
-
-ir::Circuit
-applyRulesToFixpoint(const ir::Circuit &c,
-                     const std::vector<RewriteRule> &rules, int max_rounds)
-{
-    // One engine carries the circuit across every pass of every round,
-    // so each pass probes only its rule's kind bucket instead of
-    // rebuilding Matcher + circuit from scratch (legacy behavior is
-    // preserved pass for pass; see tests/test_rewrite_engine.cc).
-    RewriteEngine engine{ir::Circuit(c)};
-    for (int round = 0; round < max_rounds; ++round) {
-        int fired = 0;
-        for (const RewriteRule &rule : rules) {
-            if (engine.preparePass(rule, 0)) {
-                fired += 1;
-                engine.commit();
-            }
-        }
-        if (fired == 0)
-            break;
-    }
-    return engine.release();
 }
 
 } // namespace rewrite

@@ -1,21 +1,20 @@
 /**
  * @file
- * Rule application strategies (paper §5.3, "Randomly selecting
- * subcircuits"): a rewrite transformation performs one full pass over
- * the circuit starting from a random anchor, replacing every disjoint
- * match of the rule.
+ * The legacy copy-everything rule pass (paper §5.3, "Randomly
+ * selecting subcircuits"): one full pass over the circuit starting
+ * from an anchor, replacing every disjoint match of the rule.
  *
- * applyRulePass / applyRulePassRandom are the *legacy* copy-everything
- * implementation, kept as the reference the incremental
- * rewrite::RewriteEngine (engine.h) is differentially tested against;
- * hot paths (the GUOQ loop, applyRulesToFixpoint, the rl-like
- * baseline) run through the engine.
+ * This is a reference oracle, not production code: it lives in the
+ * guoq_reference library, which only the tests and guoq_bench link.
+ * Every production rule pass runs on rewrite::RewriteEngine
+ * (rewrite/engine.h); tests/test_rewrite_engine.cc holds the engine to
+ * gate-for-gate and draw-for-draw agreement with this implementation,
+ * and the `rewrite_throughput` bench case times the two side by side.
  */
 
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "ir/circuit.h"
 #include "rewrite/rule.h"
@@ -42,14 +41,6 @@ PassResult applyRulePass(const ir::Circuit &c, const RewriteRule &rule,
 /** applyRulePass from a uniformly random anchor. */
 PassResult applyRulePassRandom(const ir::Circuit &c, const RewriteRule &rule,
                                support::Rng &rng);
-
-/**
- * Repeatedly sweep all of @p rules (in order, anchor 0) until no rule
- * fires or @p max_rounds is hit — the fixed-sequence baseline engine.
- */
-ir::Circuit applyRulesToFixpoint(const ir::Circuit &c,
-                                 const std::vector<RewriteRule> &rules,
-                                 int max_rounds = 64);
 
 } // namespace rewrite
 } // namespace guoq

@@ -52,7 +52,7 @@ beamSearchOptimize(const ir::Circuit &c, ir::GateSetKind set,
         opts.epsilonTotal > 0 ? core::TransformSelection::Combined
                               : core::TransformSelection::RewriteOnly;
     const core::TransformationSet transforms(
-        set, sel, std::max(opts.epsilonTotal / 16.0, 1e-7), 0.015, 0.25,
+        set, sel, core::perCallEpsilon(opts.epsilonTotal), 0.015, 0.25,
         3);
 
     BeamResult result;

@@ -1,6 +1,6 @@
 #include "baselines/passes.h"
 
-#include "rewrite/applier.h"
+#include "rewrite/engine.h"
 #include "rewrite/rule.h"
 #include "transpile/to_gate_set.h"
 
@@ -9,24 +9,13 @@ namespace baselines {
 
 namespace {
 
-/** The size-reducing subset of a gate set's rule library. */
+/** @p set's rules that shrink the circuit, or else keep its size. */
 std::vector<rewrite::RewriteRule>
-reducingRules(ir::GateSetKind set)
+rulesBySize(ir::GateSetKind set, bool shrinking)
 {
     std::vector<rewrite::RewriteRule> out;
     for (const rewrite::RewriteRule &r : rewrite::rulesFor(set))
-        if (r.sizeDelta() > 0)
-            out.push_back(r);
-    return out;
-}
-
-/** The size-preserving (commutation) subset. */
-std::vector<rewrite::RewriteRule>
-commutationRules(ir::GateSetKind set)
-{
-    std::vector<rewrite::RewriteRule> out;
-    for (const rewrite::RewriteRule &r : rewrite::rulesFor(set))
-        if (r.sizeDelta() == 0)
+        if (shrinking ? r.sizeDelta() > 0 : r.sizeDelta() == 0)
             out.push_back(r);
     return out;
 }
@@ -36,34 +25,36 @@ commutationRules(ir::GateSetKind set)
 ir::Circuit
 reduceFixpoint(const ir::Circuit &c, ir::GateSetKind set)
 {
-    return rewrite::applyRulesToFixpoint(c, reducingRules(set));
+    return rewrite::applyRulesToFixpoint(c, rulesBySize(set, true));
 }
 
 ir::Circuit
 commuteAndReduce(const ir::Circuit &c, ir::GateSetKind set, int rounds)
 {
     const std::vector<rewrite::RewriteRule> commutes =
-        commutationRules(set);
-    ir::Circuit best = reduceFixpoint(c, set);
-    ir::Circuit cur = best;
+        rulesBySize(set, false);
+    const std::vector<rewrite::RewriteRule> reducing =
+        rulesBySize(set, true);
+    // One engine carries the current circuit across every sweep.
+    rewrite::RewriteEngine engine{ir::Circuit(c)};
+    rewrite::applyRulesToFixpoint(engine, reducing);
+    ir::Circuit best = engine.circuit();
     for (int round = 0; round < rounds; ++round) {
         // One sweep of each commutation (staggered anchors so
         // successive rounds explore different shuffles); reduce after
         // every sweep so a forward/reverse commutation pair cannot
         // undo each other before cancellations are harvested.
         for (std::size_t i = 0; i < commutes.size(); ++i) {
+            const std::size_t n = engine.circuit().size();
             const std::size_t anchor =
-                cur.empty()
-                    ? 0
-                    : (static_cast<std::size_t>(round) * 7 + i) %
-                          cur.size();
-            const rewrite::PassResult r =
-                rewrite::applyRulePass(cur, commutes[i], anchor);
-            if (r.applications == 0)
+                n == 0 ? 0
+                       : (static_cast<std::size_t>(round) * 7 + i) % n;
+            if (!engine.preparePass(commutes[i], anchor))
                 continue;
-            cur = reduceFixpoint(r.circuit, set);
-            if (cur.gateCount() < best.gateCount())
-                best = cur;
+            engine.commit();
+            rewrite::applyRulesToFixpoint(engine, reducing);
+            if (engine.counts().gates < best.gateCount())
+                best = engine.circuit();
         }
     }
     return best;

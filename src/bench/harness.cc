@@ -254,15 +254,5 @@ runCases(const std::vector<const BenchCase *> &cases,
     return results;
 }
 
-int
-legacyMain()
-{
-    const RunOptions opts = RunOptions::fromEnv();
-    // A legacy binary registered only its own cases, so "all" is
-    // exactly the figure this binary regenerates.
-    runCases(Registry::instance().matching({}), opts);
-    return 0;
-}
-
 } // namespace bench
 } // namespace guoq

@@ -3,13 +3,10 @@
  * The unified benchmark harness behind every per-figure case: run
  * options, structured per-row results, and the shared runners.
  *
- * The legacy harnesses were single-process, serial, print-only
- * binaries. This subsystem routes every GUOQ invocation through
- * core::optimizePortfolio (threads/seed/trials/budget scale come from
- * GUOQ_BENCH_* env vars or the guoq_bench flags), and cases record
- * flat (case, benchmark, tool, metric, value) rows that emit.h
- * serializes to JSON/CSV — the machine-readable perf trajectory the
- * print-only binaries never produced.
+ * Every GUOQ invocation goes through core::optimizePortfolio
+ * (threads/seed/trials/budget scale come from GUOQ_BENCH_* env vars or
+ * the guoq_bench flags), and cases record flat (case, benchmark, tool,
+ * metric, value) rows that emit.h serializes to JSON/CSV.
  */
 
 #pragma once
@@ -281,12 +278,6 @@ struct BenchCase;
 /** Run @p cases in order under @p opts; returns all recorded rows. */
 std::vector<CaseResult> runCases(const std::vector<const BenchCase *> &cases,
                                  const RunOptions &opts);
-
-/**
- * Entry point for the legacy per-figure binaries: run every case the
- * binary registered, env-configured, pretty tables to stdout.
- */
-int legacyMain();
 
 } // namespace bench
 } // namespace guoq

@@ -2,8 +2,8 @@
  * @file
  * The benchmark-case registry: every figure/table harness registers
  * its cases here (via a static CaseRegistrar in its own translation
- * unit), and the runners — guoq_bench and the legacy thin binaries —
- * select from it by filter: exact id or leading path component
+ * unit), and guoq_bench selects from it by filter: exact id or
+ * leading path component
  * ("fig12" matches "fig12/t" but not "fig120"), with a substring
  * fallback for filters that match nothing that way.
  */

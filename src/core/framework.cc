@@ -1,10 +1,20 @@
 #include "core/framework.h"
 
+#include <algorithm>
+
 #include "rewrite/rule.h"
 #include "support/logging.h"
 
 namespace guoq {
 namespace core {
+
+double
+perCallEpsilon(double epsilon_total, double requested)
+{
+    if (requested > 0)
+        return requested;
+    return std::max(epsilon_total / 16.0, 3e-7);
+}
 
 TransformationSet::TransformationSet(ir::GateSetKind set,
                                      TransformSelection selection,

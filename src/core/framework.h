@@ -17,6 +17,15 @@
 namespace guoq {
 namespace core {
 
+/**
+ * Nominal ε of one resynthesis call: @p requested when positive, else
+ * max(ε_f/16, 3e-7). Several calls fit ε_f because the searches charge
+ * each call's measured distance (TransformOutcome::epsilonSpent). Below
+ * the 3e-7 floor the HS metric's machine-epsilon noise (~1e-8 after
+ * the sqrt) dominates and validation gets flaky.
+ */
+double perCallEpsilon(double epsilon_total, double requested = -1.0);
+
 /** Which transformation classes to instantiate (Q2/Q3 ablations). */
 enum class TransformSelection
 {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <future>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -25,17 +26,6 @@ struct PendingResynth
     ir::Circuit snapshot;            //!< circuit at launch time
     dag::SubcircuitSelection selection;
 };
-
-/** Effective per-call resynthesis ε (see GuoqConfig). */
-double
-perCallEpsilon(const GuoqConfig &cfg)
-{
-    if (cfg.resynthCallEpsilon > 0)
-        return cfg.resynthCallEpsilon;
-    // Floor of 3e-7: below that the HS metric's machine-epsilon noise
-    // (~1e-8 after the sqrt) dominates and validation gets flaky.
-    return std::max(cfg.epsilonTotal / 16.0, 3e-7);
-}
 
 } // namespace
 
@@ -62,8 +52,10 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
                                    : &synth::SynthService::global();
     synth::ResynthCounters counters;
     const TransformationSet transforms(
-        set, selection, perCallEpsilon(cfg), cfg.resynthProbability,
-        cfg.resynthCallSeconds, cfg.maxSubcircuitQubits, svc, &counters);
+        set, selection,
+        perCallEpsilon(cfg.epsilonTotal, cfg.resynthCallEpsilon),
+        cfg.resynthProbability, cfg.resynthCallSeconds,
+        cfg.maxSubcircuitQubits, svc, &counters);
 
     GuoqResult result;
     // The engine owns the current circuit; rule passes run through its
@@ -237,28 +229,17 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
                 if (pending.size() >=
                     static_cast<std::size_t>(cfg.synthWorkers))
                     continue; // all async slots busy
-                if (engine.circuit().empty())
+                std::optional<ResynthStep> step =
+                    tau.drawResynthStep(engine.circuit(), rng, deadline);
+                if (!step)
                     continue;
-                PendingResynth p;
-                p.selection = dag::randomConvex(
-                    engine.circuit(), rng, cfg.maxSubcircuitQubits, 32, 6);
-                if (p.selection.size() < 2)
-                    continue;
-                p.snapshot = engine.circuit();
-                ir::Circuit sub = dag::extract(p.snapshot, p.selection);
-                synth::ResynthOptions opts;
-                opts.targetSet = set;
-                opts.epsilon = perCallEpsilon(cfg);
-                opts.maxQubits = cfg.maxSubcircuitQubits;
-                opts.deadline = support::Deadline::in(
-                    std::min(cfg.resynthCallSeconds,
-                             deadline.remaining()));
                 support::Rng child = rng.fork();
-                auto fut = svc->submit(std::move(sub), opts, child);
+                auto fut = svc->submit(std::move(step->subcircuit),
+                                       step->options, child);
                 if (!fut)
                     continue; // shared pool queue full: drop the call
-                p.future = std::move(*fut);
-                pending.push_back(std::move(p));
+                pending.push_back({std::move(*fut), engine.circuit(),
+                                   std::move(step->selection)});
                 continue;
             }
         }

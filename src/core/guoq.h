@@ -58,9 +58,7 @@ struct GuoqConfig
 
     /**
      * Nominal ε per resynthesis call. ≤ 0 selects the default
-     * max(ε_f/16, 1e-7) — several approximate calls fit the budget
-     * because the loop charges the *measured* per-call distance
-     * (≤ nominal; see TransformOutcome::epsilonSpent).
+     * max(ε_f/16, 3e-7); see core::perCallEpsilon.
      */
     double resynthCallEpsilon = -1.0;
 
@@ -68,11 +66,10 @@ struct GuoqConfig
     TransformSelection selection = TransformSelection::Combined;
 
     /**
-     * Asynchronous resynthesis workers (paper §5.3): with N > 0,
-     * rewriting continues while up to N synthesis calls are in
-     * flight; interim rewrites are discarded when a resynthesis
-     * result is accepted. 0 keeps resynthesis synchronous (the
-     * legacy `asyncResynthesis = false`; 1 matches `= true`).
+     * Asynchronous resynthesis (paper §5.3): with N > 0, rewriting
+     * continues while up to N synthesis calls are in flight on the
+     * service's worker pool; interim rewrites are discarded when a
+     * resynthesis result is accepted. 0 keeps resynthesis synchronous.
      */
     int synthWorkers = 0;
 

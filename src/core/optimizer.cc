@@ -4,9 +4,7 @@
 #include <cerrno>
 #include <climits>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <utility>
 
 #include "support/logging.h"
@@ -99,6 +97,11 @@ editDistance(const std::string &a, const std::string &b)
     return prev[b.size()];
 }
 
+/** Removed parameters -> their replacements, for did-you-mean. */
+const std::pair<const char *, const char *> kRetiredParams[] = {
+    {"async-resynth", "synth-workers"},
+};
+
 } // namespace
 
 std::string
@@ -138,7 +141,12 @@ checkParams(const OptimizerInfo &info, const ParamMap &params)
             std::string msg = support::strcat(
                 "unknown parameter '", key, "' for algorithm '",
                 info.name, "'");
-            const std::string guess = closestName(key, keys);
+            std::string guess = closestName(key, keys);
+            for (const auto &[retired, replacement] : kRetiredParams)
+                if (key == retired &&
+                    std::find(keys.begin(), keys.end(), replacement) !=
+                        keys.end())
+                    guess = replacement;
             if (!guess.empty())
                 msg += support::strcat(" (did you mean '", guess, "'?)");
             if (keys.empty()) {
@@ -293,8 +301,6 @@ class GuoqFamilyOptimizer : public Optimizer
              "nominal eps per resynthesis call (<=0: auto)", "-1"},
             {"synth-workers", K::Int,
              "async resynthesis workers (0 = synchronous)", "0"},
-            {"async-resynth", K::Bool,
-             "deprecated alias for synth-workers=1", "false"},
             {"trace", K::Bool, "record a best-cost-over-time trace",
              "false"},
             {"sync-interval", K::Double,
@@ -352,18 +358,6 @@ class GuoqFamilyOptimizer : public Optimizer
                         cfg.base.resynthCallEpsilon);
         cfg.base.synthWorkers = static_cast<int>(paramLong(
             req.params, "synth-workers", cfg.base.synthWorkers));
-        if (req.params.count("async-resynth") != 0) {
-            static std::once_flag warned;
-            std::call_once(warned, [] {
-                std::fprintf(stderr,
-                             "guoq: warning: parameter 'async-resynth' "
-                             "is deprecated; use 'synth-workers' "
-                             "(N workers, 0 = synchronous)\n");
-            });
-            if (paramBool(req.params, "async-resynth", false) &&
-                cfg.base.synthWorkers == 0)
-                cfg.base.synthWorkers = 1;
-        }
         cfg.base.recordTrace =
             paramBool(req.params, "trace", cfg.base.recordTrace);
         cfg.threads = req.threads;

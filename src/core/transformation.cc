@@ -1,7 +1,6 @@
 #include "core/transformation.h"
 
-#include "dag/subcircuit.h"
-#include "rewrite/applier.h"
+#include "rewrite/engine.h"
 #include "support/logging.h"
 #include "synth/service.h"
 #include "transpile/to_gate_set.h"
@@ -62,16 +61,39 @@ Transformation::resynthesis(ir::GateSetKind set, double epsilon,
     return t;
 }
 
+std::optional<ResynthStep>
+Transformation::drawResynthStep(const ir::Circuit &c, support::Rng &rng,
+                                const support::Deadline &within) const
+{
+    if (kind_ != TransformKind::Resynthesis)
+        support::panic("Transformation::drawResynthStep: not a "
+                       "resynthesis transformation");
+    if (c.empty())
+        return std::nullopt;
+    ResynthStep step;
+    step.selection = dag::randomConvex(c, rng, maxQubits_,
+                                       kMaxSubcircuitGates,
+                                       kMaxSubcircuitEntanglers);
+    if (step.selection.size() < 2)
+        return std::nullopt;
+    step.subcircuit = dag::extract(c, step.selection);
+    step.options.targetSet = set_;
+    step.options.epsilon = epsilon_;
+    step.options.maxQubits = maxQubits_;
+    step.options.deadline = within.slice(perCallSeconds_);
+    return step;
+}
+
 std::optional<TransformOutcome>
 Transformation::apply(const ir::Circuit &c, support::Rng &rng) const
 {
     switch (kind_) {
       case TransformKind::RewriteRule: {
-        rewrite::PassResult r =
-            rewrite::applyRulePassRandom(c, *rule_, rng);
-        if (r.applications == 0)
+        rewrite::RewriteEngine engine{ir::Circuit(c)};
+        if (!engine.preparePassRandom(*rule_, rng))
             return std::nullopt;
-        return TransformOutcome{std::move(r.circuit), 0.0};
+        engine.commit();
+        return TransformOutcome{engine.release(), 0.0};
       }
       case TransformKind::Fusion: {
         ir::Circuit fused = transpile::fuseOneQubitRuns(c, set_);
@@ -80,29 +102,20 @@ Transformation::apply(const ir::Circuit &c, support::Rng &rng) const
         return TransformOutcome{std::move(fused), 0.0};
       }
       case TransformKind::Resynthesis: {
-        if (c.empty())
+        const std::optional<ResynthStep> step = drawResynthStep(c, rng);
+        if (!step)
             return std::nullopt;
-        const dag::SubcircuitSelection sel = dag::randomConvex(
-            c, rng, maxQubits_, kMaxSubcircuitGates,
-            kMaxSubcircuitEntanglers);
-        if (sel.size() < 2)
-            return std::nullopt;
-        const ir::Circuit sub = dag::extract(c, sel);
-        synth::ResynthOptions opts;
-        opts.targetSet = set_;
-        opts.epsilon = epsilon_;
-        opts.maxQubits = maxQubits_;
-        opts.deadline = support::Deadline::in(perCallSeconds_);
         synth::SynthService *svc =
             service_ != nullptr ? service_ : &synth::SynthService::global();
-        const synth::SynthOutcome so = svc->resynthesize(sub, opts, rng);
+        const synth::SynthOutcome so =
+            svc->resynthesize(step->subcircuit, step->options, rng);
         if (counters_ != nullptr)
             counters_->add(so);
         const synth::ResynthResult &r = so.result;
-        if (!r.success || r.circuit.gates() == sub.gates())
+        if (!r.success || r.circuit.gates() == step->subcircuit.gates())
             return std::nullopt; // failed or unchanged: free no-op
-        TransformOutcome out{dag::splice(c, sel, r.circuit), r.distance};
-        return out;
+        return TransformOutcome{dag::splice(c, step->selection, r.circuit),
+                                r.distance};
       }
     }
     support::panic("Transformation::apply: unknown kind");

@@ -15,11 +15,13 @@
 #include <optional>
 #include <string>
 
+#include "dag/subcircuit.h"
 #include "ir/circuit.h"
 #include "ir/gate_set.h"
 #include "rewrite/rule.h"
 #include "support/rng.h"
 #include "support/timer.h"
+#include "synth/resynth.h"
 
 namespace guoq {
 
@@ -52,6 +54,14 @@ struct TransformOutcome
     double epsilonSpent = 0;
 };
 
+/** A drawn resynthesis step: where it acts and what to synthesize. */
+struct ResynthStep
+{
+    dag::SubcircuitSelection selection; //!< where the step acts
+    ir::Circuit subcircuit;             //!< the selected gates
+    synth::ResynthOptions options;      //!< ε, qubit cap, call deadline
+};
+
 /** A closed-box τ_ε. */
 class Transformation
 {
@@ -81,8 +91,8 @@ class Transformation
 
     /**
      * The wrapped rule for RewriteRule transformations (null
-     * otherwise). The GUOQ loop dispatches rule passes through the
-     * incremental rewrite::RewriteEngine instead of apply().
+     * otherwise). The GUOQ loop runs rule passes on its own
+     * long-lived rewrite::RewriteEngine instead of apply().
      */
     const rewrite::RewriteRule *rule() const { return rule_; }
 
@@ -96,6 +106,16 @@ class Transformation
      */
     std::optional<TransformOutcome> apply(const ir::Circuit &c,
                                           support::Rng &rng) const;
+
+    /**
+     * Resynthesis only: draw a random convex subcircuit of @p c and
+     * build its synthesis request, due within the per-call cap and
+     * @p within. std::nullopt when fewer than two gates are drawn.
+     * apply() runs the step; GUOQ's async path submits it to the pool.
+     */
+    std::optional<ResynthStep>
+    drawResynthStep(const ir::Circuit &c, support::Rng &rng,
+                    const support::Deadline &within = {}) const;
 
   private:
     Transformation() = default;

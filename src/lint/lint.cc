@@ -49,7 +49,8 @@ tokenRules()
          "thread creation outside the approved concurrency seams "
          "(core/portfolio, synth/pool, serve/, verify/sampling, "
          "bench/harness); route the work through one of those",
-         {R"(std::j?thread\b)", R"((\.|->)\s*detach\s*\()"},
+         {R"(std::j?thread\b)", R"((\.|->)\s*detach\s*\()",
+          R"(\bstd\s*::\s*async\b)"},
          {"src/", "tools/", "bench/"},
          {"src/core/portfolio", "src/synth/pool", "src/serve/",
           "src/verify/sampling", "src/bench/harness"}},
@@ -167,7 +168,8 @@ const std::vector<RuleInfo> &
 ruleCatalog()
 {
     static const std::vector<RuleInfo> kCatalog = {
-        {"thread-seam", "std::thread/detach only in approved seams"},
+        {"thread-seam",
+         "std::thread/detach/async launches only in approved seams"},
         {"serve-fatal",
          "no fatal()/abort() on the --serve worker path"},
         {"determinism",

@@ -6,8 +6,9 @@
  * fixtures in tests/lint_fixtures/.
  *
  * Rules (each applies to a path scope; see ruleCatalog()):
- *  - thread-seam:   `std::thread` / `.detach()` only inside the
- *                   approved concurrency seams (core/portfolio,
+ *  - thread-seam:   `std::thread` / `.detach()` / async launches
+ *                   only inside the approved concurrency seams
+ *                   (core/portfolio,
  *                   synth/pool, serve/, verify/sampling,
  *                   bench/harness). Everything else must go through
  *                   those seams, so the TSan tier and the annotation

@@ -297,5 +297,31 @@ RewriteEngine::checkInvariants() const
     }
 }
 
+void
+applyRulesToFixpoint(RewriteEngine &engine,
+                     const std::vector<RewriteRule> &rules, int max_rounds)
+{
+    for (int round = 0; round < max_rounds; ++round) {
+        int fired = 0;
+        for (const RewriteRule &rule : rules) {
+            if (engine.preparePass(rule, 0)) {
+                fired += 1;
+                engine.commit();
+            }
+        }
+        if (fired == 0)
+            break;
+    }
+}
+
+ir::Circuit
+applyRulesToFixpoint(const ir::Circuit &c,
+                     const std::vector<RewriteRule> &rules, int max_rounds)
+{
+    RewriteEngine engine{ir::Circuit(c)};
+    applyRulesToFixpoint(engine, rules, max_rounds);
+    return engine.release();
+}
+
 } // namespace rewrite
 } // namespace guoq

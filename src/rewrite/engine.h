@@ -1,14 +1,17 @@
 /**
  * @file
- * The incremental rewrite engine: the stateful fast path behind the
- * GUOQ loop, applyRulesToFixpoint, and the rl-like baseline.
+ * The incremental rewrite engine: the one production rule pass (paper
+ * §5.3: a full pass from an anchor, replacing every disjoint match),
+ * behind the GUOQ loop, Transformation::apply, applyRulesToFixpoint,
+ * and the baselines.
  *
- * The legacy pass (applier.cc) pays O(n) several times per *attempt*:
- * it builds a fresh Matcher (full CircuitDag), probes all n anchors
- * even when the gate kind cannot match the rule's first pattern gate,
- * and rebuilds the whole circuit through a std::multimap. The engine
- * instead owns the working circuit together with a persistent wire
- * index and per-GateKind anchor buckets:
+ * The legacy pass (reference/applier.cc, a test/bench-only oracle)
+ * pays O(n) several times per *attempt*: it builds a fresh Matcher
+ * (full CircuitDag), probes all n anchors even when the gate kind
+ * cannot match the rule's first pattern gate, and rebuilds the whole
+ * circuit through a std::multimap. The engine instead owns the
+ * working circuit together with a persistent wire index and
+ * per-GateKind anchor buckets:
  *
  *   circuit_  ──┬── dag_      (CircuitDag, rebuilt in place, no alloc)
  *               └── buckets_  (GateKind -> ascending gate indices)
@@ -175,6 +178,21 @@ class RewriteEngine
     bool candidateReady_ = false;
     std::vector<ir::Gate> gateScratch_; // commit compaction buffer
 };
+
+/**
+ * Repeatedly sweep all of @p rules (in order, anchor 0) over the
+ * engine's working circuit, committing every pass that fires, until
+ * a sweep fires nothing or @p max_rounds is hit — the fixed-sequence
+ * baseline engine. No pass may be pending on entry.
+ */
+void applyRulesToFixpoint(RewriteEngine &engine,
+                          const std::vector<RewriteRule> &rules,
+                          int max_rounds = 64);
+
+/** applyRulesToFixpoint on a fresh engine over a copy of @p c. */
+ir::Circuit applyRulesToFixpoint(const ir::Circuit &c,
+                                 const std::vector<RewriteRule> &rules,
+                                 int max_rounds = 64);
 
 } // namespace rewrite
 } // namespace guoq

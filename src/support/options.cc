@@ -52,8 +52,7 @@ int
 benchTrials()
 {
     // Same guard as benchScale(): zero trials would make every
-    // experiment cell silently empty. Default 1 so the default runner
-    // cost matches the legacy single-run harness binaries.
+    // experiment cell silently empty.
     const int trials = envInt("GUOQ_BENCH_TRIALS", 1);
     return trials < 1 ? 1 : trials;
 }

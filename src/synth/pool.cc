@@ -17,6 +17,13 @@ Pool::Pool(int workers, std::size_t queue_capacity)
         threads_.emplace_back([this] { workerLoop(); });
 }
 
+int
+Pool::defaultWorkers()
+{
+    return std::max(static_cast<int>(std::thread::hardware_concurrency()),
+                    1);
+}
+
 Pool::~Pool()
 {
     {

@@ -35,6 +35,12 @@ class Pool
     int workers() const { return static_cast<int>(threads_.size()); }
 
     /**
+     * One worker per hardware thread (at least one); kept in the
+     * thread seam so callers never name std::thread.
+     */
+    static int defaultWorkers();
+
+    /**
      * Enqueue @p task unless the queue is at capacity; returns false
      * (task dropped, not run) when full.
      */

@@ -1,6 +1,6 @@
 #include "synth/resynth.h"
 
-#include "rewrite/applier.h"
+#include "rewrite/engine.h"
 #include "rewrite/rule.h"
 #include "sim/unitary_sim.h"
 #include "support/logging.h"

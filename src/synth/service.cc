@@ -33,11 +33,15 @@ cacheable(const ir::Circuit &sub, const ResynthOptions &opts)
 void
 SynthService::configurePool(int workers, std::size_t queue_capacity)
 {
-    if (workers <= 0) {
-        pool_.reset();
-        return;
-    }
+    support::MutexLock lock(poolMutex_);
     pool_ = std::make_unique<Pool>(workers, queue_capacity);
+}
+
+long
+SynthService::poolQueuePeak() const
+{
+    support::MutexLock lock(poolMutex_);
+    return pool_ ? static_cast<long>(pool_->queuePeak()) : 0;
 }
 
 SynthOutcome
@@ -98,19 +102,14 @@ std::optional<std::future<SynthOutcome>>
 SynthService::submit(ir::Circuit sub, ResynthOptions opts,
                      support::Rng rng)
 {
-    if (!pool_) {
-        // Legacy shape: one detached async task per request.
-        return std::async(std::launch::async,
-                          [this, sub = std::move(sub), opts,
-                           rng]() mutable {
-                              return resynthesize(sub, opts, rng);
-                          });
-    }
     auto task = std::make_shared<std::packaged_task<SynthOutcome()>>(
         [this, sub = std::move(sub), opts, rng]() mutable {
             return resynthesize(sub, opts, rng);
         });
     std::future<SynthOutcome> fut = task->get_future();
+    support::MutexLock lock(poolMutex_);
+    if (!pool_)
+        pool_ = std::make_unique<Pool>(Pool::defaultWorkers());
     if (!pool_->trySubmit([task] { (*task)(); }))
         return std::nullopt;
     return fut;

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "ir/circuit.h"
+#include "support/mutex.h"
 #include "support/rng.h"
 #include "synth/cache.h"
 #include "synth/pool.h"
@@ -68,16 +69,15 @@ class SynthService
     SynthCache &cache() { return cache_; }
 
     /**
-     * (Re)size the worker pool; 0 tears it down, restoring the legacy
-     * one-detached-thread-per-request behavior for async submits. Not
-     * safe to call while optimizer runs are in flight.
+     * (Re)size the worker pool (at least one worker). Without this
+     * call the pool is created on the first submit() with
+     * Pool::defaultWorkers() workers. Not safe to call
+     * while optimizer runs are in flight.
      */
     void configurePool(int workers, std::size_t queue_capacity = 64);
-    int poolWorkers() const { return pool_ ? pool_->workers() : 0; }
-    long poolQueuePeak() const
-    {
-        return pool_ ? static_cast<long>(pool_->queuePeak()) : 0;
-    }
+
+    /** The pool's queue high-water mark (0 while no pool exists). */
+    long poolQueuePeak() const;
 
     /** Synchronous cache-aware resynthesis (see contract above). */
     SynthOutcome resynthesize(const ir::Circuit &sub,
@@ -85,10 +85,9 @@ class SynthService
                               support::Rng &rng);
 
     /**
-     * Asynchronous resynthesis on the pool (or a detached std::async
-     * when no pool is configured). @p rng must already be forked from
-     * the caller's stream. Returns nullopt when the bounded queue is
-     * full — the request is dropped, not queued.
+     * Asynchronous resynthesis on the worker pool. @p rng must already
+     * be forked from the caller's stream. Returns nullopt when the
+     * bounded queue is full — the request is dropped, not queued.
      */
     std::optional<std::future<SynthOutcome>>
     submit(ir::Circuit sub, ResynthOptions opts, support::Rng rng);
@@ -108,7 +107,8 @@ class SynthService
   private:
     std::atomic<bool> cacheEnabled_{false};
     SynthCache cache_;
-    std::unique_ptr<Pool> pool_;
+    mutable support::Mutex poolMutex_;
+    std::unique_ptr<Pool> pool_ GUARDED_BY(poolMutex_);
 };
 
 } // namespace synth

@@ -1,5 +1,6 @@
-// Violates thread-seam: spawns and detaches a thread outside the
-// approved concurrency seams.
+// Violates thread-seam: spawns and detaches a thread, and launches an
+// unpooled async task, outside the approved concurrency seams.
+#include <future>
 #include <thread>
 
 void
@@ -7,4 +8,5 @@ fireAndForget()
 {
     std::thread worker([] {});
     worker.detach();
+    auto done = std::async(std::launch::async, [] {});
 }

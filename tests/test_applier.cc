@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "rewrite/applier.h"
+#include "reference/applier.h"
+#include "rewrite/engine.h"
 #include "rewrite/rule.h"
 #include "sim/unitary_sim.h"
 #include "tests/test_util.h"

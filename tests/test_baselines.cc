@@ -1,7 +1,11 @@
 /** @file Tests for the fixed-sequence and RL-like baselines (Table 3). */
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "baselines/beam_search.h"
 #include "baselines/fixed_sequence.h"
 #include "baselines/passes.h"
 #include "baselines/rl_like.h"
@@ -133,6 +137,82 @@ TEST(Baselines, TofWorkloadsShrinkUnderEveryBaseline)
     for (const BaselineCase &bc : kBaselines) {
         const ir::Circuit out = bc.run(c, ir::GateSetKind::CliffordT);
         EXPECT_LE(out.size(), c.size()) << bc.name;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fixed-seed output pins, captured before the rule passes inside
+// commuteAndReduce and Transformation::apply (every beam expansion)
+// moved onto rewrite::RewriteEngine. Any change to those passes must
+// keep these bit-for-bit.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char ch : s) {
+        h ^= static_cast<unsigned char>(ch);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(BaselineGolden, CommuteAndReduceOutputsPinnedForEveryGateSet)
+{
+    const std::uint64_t want[] = {
+        0x76146b6587277b28ull, // ibmq20
+        0x231539764667911eull, // ibm-eagle
+        0x41cb162e1506121eull, // ionq
+        0xdc27bbdb0ca69cd8ull, // nam
+        0xb203fa7257d6e4b2ull, // clifford+t
+    };
+    const auto &sets = ir::allGateSets();
+    ASSERT_EQ(sets.size(), std::size(want));
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+        support::Rng rng(300 + i);
+        const ir::Circuit c =
+            testutil::randomNativeCircuit(sets[i], 5, 60, rng);
+        const ir::Circuit out = baselines::commuteAndReduce(c, sets[i], 4);
+        EXPECT_LT(out.size(), c.size()) << ir::gateSetName(sets[i]);
+        EXPECT_EQ(fnv1a(out.toString()), want[i])
+            << ir::gateSetName(sets[i]) << std::hex << " got 0x"
+            << fnv1a(out.toString());
+    }
+}
+
+TEST(BaselineGolden, ExactBeamSearchOutputPinned)
+{
+    struct Pin
+    {
+        ir::GateSetKind set;
+        std::uint64_t seed;
+        std::uint64_t want;
+    };
+    const Pin pins[] = {
+        {ir::GateSetKind::Nam, 21, 0x0967576a7dd2e11bull},
+        {ir::GateSetKind::CliffordT, 22, 0xf0e47654a435ee75ull},
+    };
+    for (const Pin &p : pins) {
+        support::Rng rng(p.seed);
+        const ir::Circuit c = testutil::randomNativeCircuit(p.set, 5, 50, rng);
+        baselines::BeamOptions opts;
+        opts.epsilonTotal = 0;
+        opts.timeBudgetSeconds = 600;
+        opts.maxIterations = 25;
+        opts.beamWidth = 16;
+        opts.seed = p.seed;
+        const baselines::BeamResult r =
+            baselines::beamSearchOptimize(c, p.set, opts);
+        EXPECT_EQ(r.errorBound, 0.0);
+        EXPECT_LT(r.best.size(), c.size()) << ir::gateSetName(p.set);
+        const std::string sig =
+            r.best.toString() + "|i=" + std::to_string(r.iterations) +
+            "|g=" + std::to_string(r.candidatesGenerated) +
+            "|p=" + std::to_string(r.candidatesPruned);
+        EXPECT_EQ(fnv1a(sig), p.want)
+            << ir::gateSetName(p.set) << std::hex << " got 0x"
+            << fnv1a(sig);
     }
 }
 

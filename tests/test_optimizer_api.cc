@@ -147,13 +147,28 @@ TEST(OptimizerParams, BadValueAndNoParamAlgorithms)
 
     const core::Optimizer *guoq = OptimizerRegistry::global().find("guoq");
     ASSERT_NE(guoq, nullptr);
+    // Bool params parse strictly: "maybe" is rejected, "true" is not.
+    EXPECT_NE(core::checkParams(guoq->info(), {{"trace", "maybe"}}), "");
+    EXPECT_EQ(core::checkParams(guoq->info(),
+                                {{"trace", "true"}, {"temperature", "5.5"}}),
+              "");
     EXPECT_NE(
-        core::checkParams(guoq->info(), {{"async-resynth", "maybe"}}),
+        core::checkParams(guoq->info(), {{"synth-workers", "maybe"}}),
         "");
     EXPECT_EQ(
-        core::checkParams(guoq->info(), {{"async-resynth", "true"},
+        core::checkParams(guoq->info(), {{"synth-workers", "2"},
                                          {"temperature", "5.5"}}),
         "");
+    // The removed async-resynth alias is an unknown parameter now, and
+    // the diagnostic points at its replacement.
+    const std::string retired =
+        core::checkParams(guoq->info(), {{"async-resynth", "true"}});
+    EXPECT_NE(retired.find("unknown parameter 'async-resynth'"),
+              std::string::npos)
+        << retired;
+    EXPECT_NE(retired.find("did you mean 'synth-workers'?"),
+              std::string::npos)
+        << retired;
 }
 
 TEST(OptimizerParams, CheckRequestEnforcesAlgorithmPreconditions)

@@ -6,8 +6,9 @@
  *    libraries, every (rule, anchor) pass through the engine produces
  *    gate-for-gate the legacy applyRulePass result, both committed
  *    and as a materialized-but-uncommitted candidate;
- *  - RNG equivalence: preparePassRandom consumes exactly the draws of
- *    applyRulePassRandom;
+ *  - RNG equivalence: preparePassRandom and the production
+ *    Transformation::apply rule pass consume exactly the draws of
+ *    applyRulePassRandom and produce its circuit;
  *  - invariants: wire links, kind buckets, and cached counters are
  *    revalidated after every splice (checkInvariants death tests
  *    cover corruption);
@@ -26,8 +27,9 @@
 #include <gtest/gtest.h>
 
 #include "core/guoq.h"
+#include "core/transformation.h"
 #include "fidelity/error_model.h"
-#include "rewrite/applier.h"
+#include "reference/applier.h"
 #include "rewrite/engine.h"
 #include "rewrite/rule.h"
 #include "support/rng.h"
@@ -111,25 +113,37 @@ TEST(RewriteEngineDifferential, RandomAnchorConsumesSameDraws)
     support::Rng build(7);
     ir::Circuit c = testutil::randomNativeCircuit(set, 6, 80, build);
 
+    // Three inputs in lockstep: the legacy pass, the engine, and the
+    // production Transformation::apply (a fresh engine per pass).
     support::Rng rng_legacy(99);
     support::Rng rng_engine(99);
+    support::Rng rng_apply(99);
     rewrite::RewriteEngine engine{ir::Circuit(c)};
     for (int step = 0; step < 300; ++step) {
         const std::size_t ri = rng_legacy.index(rules.size());
         ASSERT_EQ(ri, rng_engine.index(rules.size()));
+        ASSERT_EQ(ri, rng_apply.index(rules.size()));
         rewrite::PassResult legacy =
             rewrite::applyRulePassRandom(c, rules[ri], rng_legacy);
         auto att = engine.preparePassRandom(rules[ri], rng_engine);
+        auto applied = core::Transformation::fromRule(&rules[ri])
+                           .apply(c, rng_apply);
         if (legacy.applications == 0) {
             ASSERT_FALSE(att.has_value());
+            ASSERT_FALSE(applied.has_value());
         } else {
             ASSERT_TRUE(att.has_value());
+            ASSERT_TRUE(applied.has_value());
+            EXPECT_EQ(applied->epsilonSpent, 0.0);
+            ASSERT_TRUE(sameGates(applied->circuit, legacy.circuit));
             engine.commit();
             c = std::move(legacy.circuit);
             ASSERT_TRUE(sameGates(engine.circuit(), c));
         }
         // Identical draw counts => the streams stay in lockstep.
-        ASSERT_EQ(rng_legacy(), rng_engine());
+        const std::uint64_t next = rng_legacy();
+        ASSERT_EQ(next, rng_engine());
+        ASSERT_EQ(next, rng_apply());
     }
 }
 

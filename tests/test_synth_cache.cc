@@ -339,6 +339,16 @@ TEST(SynthService, CacheDisabledIsBitForBitPassThrough)
     EXPECT_EQ(so.result.circuit.gates(), direct.circuit.gates());
     // The caller's RNG stream advanced identically.
     EXPECT_EQ(direct_rng(), service_rng());
+
+    // The async path, on a service no configurePool call has sized:
+    // the first submit creates the pool, and the outcome is the same.
+    auto fut = service.submit(sub, opts, support::Rng(7));
+    ASSERT_TRUE(fut.has_value());
+    const synth::SynthOutcome async = fut->get();
+    EXPECT_EQ(async.result.success, direct.success);
+    EXPECT_EQ(async.result.distance, direct.distance);
+    EXPECT_EQ(async.result.circuit.gates(), direct.circuit.gates());
+    EXPECT_GE(service.poolQueuePeak(), 1);
 }
 
 TEST(SynthService, ConsumesOneForkPerRequestHitOrMiss)

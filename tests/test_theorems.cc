@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "core/guoq.h"
+#include "core/transformation.h"
 #include "dag/subcircuit.h"
 #include "sim/unitary_sim.h"
-#include "rewrite/applier.h"
 #include "synth/resynth.h"
 #include "tests/test_util.h"
 
@@ -69,8 +69,12 @@ TEST(Theorem42, ExactTransformationsAccumulateNothing)
     ir::Circuit cur = original;
     const auto &rules = rewrite::rulesFor(ir::GateSetKind::CliffordT);
     for (int step = 0; step < 50; ++step) {
-        const auto &rule = rules[rng.index(rules.size())];
-        cur = rewrite::applyRulePassRandom(cur, rule, rng).circuit;
+        const core::Transformation tau =
+            core::Transformation::fromRule(&rules[rng.index(rules.size())]);
+        if (auto out = tau.apply(cur, rng)) {
+            EXPECT_EQ(out->epsilonSpent, 0.0);
+            cur = std::move(out->circuit);
+        }
     }
     EXPECT_LT(sim::circuitDistance(original, cur), testutil::kExact);
 }
