@@ -9,13 +9,13 @@ namespace baselines {
 
 namespace {
 
-/** @p set's rules that shrink the circuit, or else keep its size. */
+/** @p set's size-preserving rules (the commutations). */
 std::vector<rewrite::RewriteRule>
-rulesBySize(ir::GateSetKind set, bool shrinking)
+commutationRules(ir::GateSetKind set)
 {
     std::vector<rewrite::RewriteRule> out;
     for (const rewrite::RewriteRule &r : rewrite::rulesFor(set))
-        if (shrinking ? r.sizeDelta() > 0 : r.sizeDelta() == 0)
+        if (r.sizeDelta() == 0)
             out.push_back(r);
     return out;
 }
@@ -25,16 +25,17 @@ rulesBySize(ir::GateSetKind set, bool shrinking)
 ir::Circuit
 reduceFixpoint(const ir::Circuit &c, ir::GateSetKind set)
 {
-    return rewrite::applyRulesToFixpoint(c, rulesBySize(set, true));
+    return rewrite::applyRulesToFixpoint(c,
+                                         rewrite::sizeReducingRulesFor(set));
 }
 
 ir::Circuit
 commuteAndReduce(const ir::Circuit &c, ir::GateSetKind set, int rounds)
 {
     const std::vector<rewrite::RewriteRule> commutes =
-        rulesBySize(set, false);
-    const std::vector<rewrite::RewriteRule> reducing =
-        rulesBySize(set, true);
+        commutationRules(set);
+    const std::vector<rewrite::RewriteRule> &reducing =
+        rewrite::sizeReducingRulesFor(set);
     // One engine carries the current circuit across every sweep.
     rewrite::RewriteEngine engine{ir::Circuit(c)};
     rewrite::applyRulesToFixpoint(engine, reducing);

@@ -1,5 +1,6 @@
 #include "ir/gate_kind.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <unordered_map>
@@ -42,12 +43,6 @@ using linalg::Complex;
 using linalg::ComplexMatrix;
 
 const Complex kI(0, 1);
-
-ComplexMatrix
-mat1(Complex a, Complex b, Complex c, Complex d)
-{
-    return ComplexMatrix{{a, b}, {c, d}};
-}
 
 } // namespace
 
@@ -102,13 +97,21 @@ isTGate(GateKind kind)
     return kind == GateKind::T || kind == GateKind::Tdg;
 }
 
-ComplexMatrix
-gateMatrix(GateKind kind, const std::vector<double> &params)
+void
+gateMatrixInto(GateKind kind, const double *params, Complex *out)
 {
-    if (static_cast<int>(params.size()) != gateParamCount(kind))
-        support::panic(support::strcat("gateMatrix(", gateName(kind),
-                                       "): want ", gateParamCount(kind),
-                                       " params, got ", params.size()));
+    const std::size_t span = std::size_t{1} << gateArity(kind);
+    std::fill(out, out + span * span, Complex{});
+    const auto mat1 = [out](Complex a, Complex b, Complex c, Complex d) {
+        out[0] = a;
+        out[1] = b;
+        out[2] = c;
+        out[3] = d;
+    };
+    const auto identity = [out, span] {
+        for (std::size_t i = 0; i < span; ++i)
+            out[i * span + i] = 1.0;
+    };
     const double isq = 1.0 / std::sqrt(2.0);
     switch (kind) {
       case GateKind::H:
@@ -159,54 +162,62 @@ gateMatrix(GateKind kind, const std::vector<double> &params)
                     c * std::polar(1.0, phi + lam));
       }
       case GateKind::CX:
-        return ComplexMatrix{{1, 0, 0, 0},
-                             {0, 1, 0, 0},
-                             {0, 0, 0, 1},
-                             {0, 0, 1, 0}};
+        identity();
+        out[2 * 4 + 2] = 0;
+        out[3 * 4 + 3] = 0;
+        out[2 * 4 + 3] = 1;
+        out[3 * 4 + 2] = 1;
+        return;
       case GateKind::CZ:
-        return ComplexMatrix{{1, 0, 0, 0},
-                             {0, 1, 0, 0},
-                             {0, 0, 1, 0},
-                             {0, 0, 0, -1}};
+        identity();
+        out[3 * 4 + 3] = -1;
+        return;
       case GateKind::Swap:
-        return ComplexMatrix{{1, 0, 0, 0},
-                             {0, 0, 1, 0},
-                             {0, 1, 0, 0},
-                             {0, 0, 0, 1}};
+        identity();
+        out[1 * 4 + 1] = 0;
+        out[2 * 4 + 2] = 0;
+        out[1 * 4 + 2] = 1;
+        out[2 * 4 + 1] = 1;
+        return;
       case GateKind::Rxx: {
         const double c = std::cos(params[0] / 2), s = std::sin(params[0] / 2);
-        ComplexMatrix m(4, 4);
-        m(0, 0) = c;
-        m(1, 1) = c;
-        m(2, 2) = c;
-        m(3, 3) = c;
-        m(0, 3) = -kI * s;
-        m(1, 2) = -kI * s;
-        m(2, 1) = -kI * s;
-        m(3, 0) = -kI * s;
-        return m;
+        for (std::size_t i = 0; i < 4; ++i) {
+            out[i * 4 + i] = c;
+            out[i * 4 + (3 - i)] = -kI * s;
+        }
+        return;
       }
-      case GateKind::CP: {
-        ComplexMatrix m = ComplexMatrix::identity(4);
-        m(3, 3) = std::polar(1.0, params[0]);
-        return m;
-      }
-      case GateKind::CCX: {
-        ComplexMatrix m = ComplexMatrix::identity(8);
-        m(6, 6) = 0;
-        m(7, 7) = 0;
-        m(6, 7) = 1;
-        m(7, 6) = 1;
-        return m;
-      }
-      case GateKind::CCZ: {
-        ComplexMatrix m = ComplexMatrix::identity(8);
-        m(7, 7) = -1;
-        return m;
-      }
+      case GateKind::CP:
+        identity();
+        out[3 * 4 + 3] = std::polar(1.0, params[0]);
+        return;
+      case GateKind::CCX:
+        identity();
+        out[6 * 8 + 6] = 0;
+        out[7 * 8 + 7] = 0;
+        out[6 * 8 + 7] = 1;
+        out[7 * 8 + 6] = 1;
+        return;
+      case GateKind::CCZ:
+        identity();
+        out[7 * 8 + 7] = -1;
+        return;
       default:
         support::panic("gateMatrix: unhandled GateKind");
     }
+}
+
+ComplexMatrix
+gateMatrix(GateKind kind, const std::vector<double> &params)
+{
+    if (static_cast<int>(params.size()) != gateParamCount(kind))
+        support::panic(support::strcat("gateMatrix(", gateName(kind),
+                                       "): want ", gateParamCount(kind),
+                                       " params, got ", params.size()));
+    const std::size_t span = std::size_t{1} << gateArity(kind);
+    ComplexMatrix m(span, span);
+    gateMatrixInto(kind, params.data(), m.data());
+    return m;
 }
 
 } // namespace ir

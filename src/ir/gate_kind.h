@@ -83,5 +83,14 @@ bool isTGate(GateKind kind);
 linalg::ComplexMatrix gateMatrix(GateKind kind,
                                  const std::vector<double> &params);
 
+/**
+ * gateMatrix() without the allocation: writes the 2^m x 2^m unitary
+ * row-major into @p out (2^m * 2^m entries), reading
+ * gateParamCount(@p kind) angles from @p params. Same expressions,
+ * hence the same bits, as gateMatrix().
+ */
+void gateMatrixInto(GateKind kind, const double *params,
+                    linalg::Complex *out);
+
 } // namespace ir
 } // namespace guoq

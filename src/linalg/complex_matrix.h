@@ -20,6 +20,20 @@ namespace linalg {
 
 using Complex = std::complex<double>;
 
+/**
+ * a · b by the textbook formula (ar·br − ai·bi, ar·bi + ai·br). These
+ * are the operations GCC and Clang emit for std::complex's operator*,
+ * so the bits are the same whenever that product is not NaN; only
+ * its C Annex G NaN-recovery branch is left out, which keeps small
+ * hot loops branch-free.
+ */
+inline Complex
+mulFinite(Complex a, Complex b)
+{
+    return {a.real() * b.real() - a.imag() * b.imag(),
+            a.real() * b.imag() + a.imag() * b.real()};
+}
+
 /** Row-major dense complex matrix. */
 class ComplexMatrix
 {

@@ -3,10 +3,10 @@
 #include "lint/lint.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <sstream>
 
 namespace guoq {
@@ -31,6 +31,114 @@ startsWith(const std::string &s, const std::string &prefix)
     return s.compare(0, prefix.size(), prefix) == 0;
 }
 
+bool
+isWordChar(char c)
+{
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+bool
+isSpaceChar(char c)
+{
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+/*
+ * A backtracking matcher for the regex subset the rules are written
+ * in: literal characters, `\` escapes, the `\b` word boundary, the
+ * `\s` and `\w` classes, `[...]` sets (ranges and `\s` allowed) and
+ * the greedy `*` `+` `?` quantifiers — leftmost-first and greedy like
+ * ECMAScript, so it finds the matches std::regex would. (std::regex
+ * itself is avoided: libstdc++ 12's regex compiler trips
+ * -Wmaybe-uninitialized under -fsanitize=address, which -Werror makes
+ * a build failure.)
+ */
+
+/** Length of the atom at p[i]: a character, `\x` escape or `[...]`. */
+std::size_t
+atomLength(const std::string &p, std::size_t i)
+{
+    if (p[i] == '\\')
+        return 2;
+    if (p[i] == '[')
+        return p.find(']', i) - i + 1;
+    return 1;
+}
+
+/** Does the atom at p[i] match @p c? */
+bool
+atomMatches(const std::string &p, std::size_t i, char c)
+{
+    if (p[i] == '\\')
+        return p[i + 1] == 's'   ? isSpaceChar(c)
+               : p[i + 1] == 'w' ? isWordChar(c)
+                                 : c == p[i + 1];
+    if (p[i] != '[')
+        return c == p[i];
+    for (std::size_t k = i + 1; p[k] != ']'; ++k) {
+        if (p[k] == '\\') {
+            if (p[++k] == 's' ? isSpaceChar(c) : c == p[k])
+                return true;
+        } else if (p[k + 1] == '-' && p[k + 2] != ']') {
+            if (p[k] <= c && c <= p[k + 2])
+                return true;
+            k += 2;
+        } else if (c == p[k]) {
+            return true;
+        }
+    }
+    return false;
+}
+
+/** End of a match of p[pi..] starting at t[ti], or npos. */
+std::size_t
+matchHere(const std::string &p, std::size_t pi, const std::string &t,
+          std::size_t ti)
+{
+    if (pi == p.size())
+        return ti;
+    if (p.compare(pi, 2, "\\b") == 0) {
+        const bool before = ti > 0 && isWordChar(t[ti - 1]);
+        const bool after = ti < t.size() && isWordChar(t[ti]);
+        return before != after ? matchHere(p, pi + 2, t, ti)
+                               : std::string::npos;
+    }
+    const std::size_t len = atomLength(p, pi);
+    const char q = pi + len < p.size() ? p[pi + len] : '\0';
+    if (q != '*' && q != '+' && q != '?')
+        return ti < t.size() && atomMatches(p, pi, t[ti])
+                   ? matchHere(p, pi + len, t, ti + 1)
+                   : std::string::npos;
+    // Greedy: the longest run first, backing off one at a time.
+    std::size_t n = 0;
+    while ((q != '?' || n == 0) && ti + n < t.size() &&
+           atomMatches(p, pi, t[ti + n]))
+        ++n;
+    for (std::size_t k = n + 1; k-- > (q == '+' ? 1u : 0u);) {
+        const std::size_t end = matchHere(p, pi + len + 1, t, ti + k);
+        if (end != std::string::npos)
+            return end;
+    }
+    return std::string::npos;
+}
+
+/** [start, end) of each non-overlapping match of @p p, left to right. */
+std::vector<std::pair<std::size_t, std::size_t>>
+findAll(const std::string &p, const std::string &t)
+{
+    std::vector<std::pair<std::size_t, std::size_t>> found;
+    for (std::size_t pos = 0; pos <= t.size();) {
+        const std::size_t end = matchHere(p, 0, t, pos);
+        if (end == std::string::npos) {
+            ++pos;
+            continue;
+        }
+        found.emplace_back(pos, end);
+        pos = end > pos ? end : pos + 1;
+    }
+    return found;
+}
+
 /** One token rule: regexes that may not appear in the scoped paths. */
 struct TokenRule
 {
@@ -49,8 +157,8 @@ tokenRules()
          "thread creation outside the approved concurrency seams "
          "(core/portfolio, synth/pool, serve/, verify/sampling, "
          "bench/harness); route the work through one of those",
-         {R"(std::j?thread\b)", R"((\.|->)\s*detach\s*\()",
-          R"(\bstd\s*::\s*async\b)"},
+         {R"(std::j?thread\b)", R"(\.\s*detach\s*\()",
+          R"(->\s*detach\s*\()", R"(\bstd\s*::\s*async\b)"},
          {"src/", "tools/", "bench/"},
          {"src/core/portfolio", "src/synth/pool", "src/serve/",
           "src/verify/sampling", "src/bench/harness"}},
@@ -66,7 +174,8 @@ tokenRules()
          "library code; draw from a seeded support::Rng stream",
          {R"(\bstd::rand\b)", R"(\bsrand\s*\()",
           R"(\brandom_device\b)",
-          R"(\btime\s*\(\s*(nullptr|NULL|0)\s*\))"},
+          R"(\btime\s*\(\s*nullptr\s*\))",
+          R"(\btime\s*\(\s*NULL\s*\))", R"(\btime\s*\(\s*0\s*\))"},
          {"src/"},
          {}},
         {"allocation",
@@ -134,30 +243,25 @@ extractRegistrations(const std::string &content)
     const std::string text = stripForLint(content, false);
     std::vector<Registration> out;
 
-    const auto collectAfter = [&](const std::regex &re) {
-        for (std::sregex_iterator it(text.begin(), text.end(), re), end;
-             it != end; ++it) {
+    const auto collectAfter = [&](const std::string &pattern) {
+        for (const auto &[start, end] : findAll(pattern, text)) {
             std::string name;
             std::size_t lit_pos = 0;
-            if (nextLiteral(text,
-                            static_cast<std::size_t>(it->position()) +
-                                static_cast<std::size_t>(it->length()),
-                            &name, &lit_pos) &&
+            if (nextLiteral(text, end, &name, &lit_pos) &&
                 !name.empty())
                 out.push_back({name, lineOf(text, lit_pos)});
         }
     };
 
     // bench: static CaseRegistrar kFoo("case/id", ...).
-    collectAfter(std::regex(R"(CaseRegistrar\s+\w+\s*\()"));
+    collectAfter(R"(CaseRegistrar\s+\w+\s*\()");
     // verify: static const CheckerInfo kInfo{"name", ...}.
-    collectAfter(std::regex(R"(CheckerInfo\s+\w+\s*\{)"));
+    collectAfter(R"(CheckerInfo\s+\w+\s*\{)");
     // optimizers registered with an inline name argument:
     // r.add(std::make_unique<SomeOptimizer>("name", ...)).
-    collectAfter(std::regex(R"(make_unique<\s*\w*Optimizer\s*>\s*\()"));
+    collectAfter(R"(make_unique<\s*\w*Optimizer\s*>\s*\()");
     // optimizers that set their own fixed name: info_.name = "name".
-    const std::regex assign(R"(info_\s*\.\s*name\s*=\s*)");
-    collectAfter(assign);
+    collectAfter(R"(info_\s*\.\s*name\s*=\s*)");
 
     return out;
 }
@@ -285,15 +389,9 @@ lintFileContent(const std::string &relPath, const std::string &content)
         if (!inScope(rule, relPath))
             continue;
         for (const std::string &pattern : rule.patterns) {
-            const std::regex re(pattern);
-            for (std::sregex_iterator it(text.begin(), text.end(), re),
-                 end;
-                 it != end; ++it)
-                findings.push_back(
-                    {relPath, lineOf(text,
-                                     static_cast<std::size_t>(
-                                         it->position())),
-                     rule.name, rule.message});
+            for (const auto &match : findAll(pattern, text))
+                findings.push_back({relPath, lineOf(text, match.first),
+                                    rule.name, rule.message});
         }
     }
     return findings;

@@ -139,5 +139,12 @@ class RewriteRule
  */
 const std::vector<RewriteRule> &rulesFor(ir::GateSetKind set);
 
+/**
+ * The size-reducing subset of rulesFor(@p set) (sizeDelta() > 0), in
+ * rulesFor order: what the cleanup fixpoints run. Built once per gate
+ * set.
+ */
+const std::vector<RewriteRule> &sizeReducingRulesFor(ir::GateSetKind set);
+
 } // namespace rewrite
 } // namespace guoq

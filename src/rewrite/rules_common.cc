@@ -100,5 +100,23 @@ rulesFor(ir::GateSetKind set)
     support::panic("rulesFor: unknown gate set");
 }
 
+const std::vector<RewriteRule> &
+sizeReducingRulesFor(ir::GateSetKind set)
+{
+    // Indexed by the GateSetKind value.
+    static const std::vector<std::vector<RewriteRule>> subsets = [] {
+        std::vector<std::vector<RewriteRule>> out(ir::allGateSets().size());
+        for (const ir::GateSetKind s : ir::allGateSets())
+            for (const RewriteRule &r : rulesFor(s))
+                if (r.sizeDelta() > 0)
+                    out[static_cast<std::size_t>(s)].push_back(r);
+        return out;
+    }();
+    const std::size_t i = static_cast<std::size_t>(set);
+    if (i >= subsets.size())
+        support::panic("sizeReducingRulesFor: unknown gate set");
+    return subsets[i];
+}
+
 } // namespace rewrite
 } // namespace guoq

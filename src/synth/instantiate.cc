@@ -1,129 +1,208 @@
 #include "synth/instantiate.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/unitary.h"
-#include "sim/unitary_sim.h"
 #include "support/logging.h"
 
 namespace guoq {
 namespace synth {
 
-namespace {
-
 using linalg::Complex;
 using linalg::ComplexMatrix;
 
-/** Tr(A · B) without forming the product: Σ_ij A_ij B_ji. */
-Complex
-traceOfProduct(const ComplexMatrix &a, const ComplexMatrix &b)
-{
-    const std::size_t n = a.rows();
-    Complex t = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            t += a(i, j) * b(j, i);
-    return t;
-}
+namespace {
 
-/** The concrete gate for an ansatz slot under @p params. */
-ir::Gate
-bindGate(const AnsatzGate &g, const std::vector<double> &params)
+bool
+isOne(Complex c)
 {
-    std::vector<double> ps;
-    if (ir::gateParamCount(g.kind) == 1)
-        ps.push_back(g.paramIndex >= 0
-                         ? params[static_cast<std::size_t>(g.paramIndex)]
-                         : g.fixedParam);
-    return ir::Gate(g.kind, g.qubits, ps);
-}
-
-/**
- * Left-multiply @p m by the Pauli generator P of slot @p g (Z for Rz,
- * Y for Ry, X⊗X for Rxx) so that ∂G/∂θ · rest = -i/2 · P · G · rest.
- */
-void
-applyGenerator(ComplexMatrix &m, const AnsatzGate &g, int num_qubits)
-{
-    switch (g.kind) {
-      case ir::GateKind::Rz:
-        sim::applyGate(m, ir::Gate(ir::GateKind::Z, {g.qubits[0]}),
-                       num_qubits);
-        return;
-      case ir::GateKind::Ry:
-        sim::applyGate(m, ir::Gate(ir::GateKind::Y, {g.qubits[0]}),
-                       num_qubits);
-        return;
-      case ir::GateKind::Rx:
-        sim::applyGate(m, ir::Gate(ir::GateKind::X, {g.qubits[0]}),
-                       num_qubits);
-        return;
-      case ir::GateKind::Rxx:
-        sim::applyGate(m, ir::Gate(ir::GateKind::X, {g.qubits[0]}),
-                       num_qubits);
-        sim::applyGate(m, ir::Gate(ir::GateKind::X, {g.qubits[1]}),
-                       num_qubits);
-        return;
-      default:
-        support::panic("applyGenerator: unsupported parameterized kind");
-    }
+    return c.real() == 1.0 && c.imag() == 0.0;
 }
 
 } // namespace
 
-double
-hsCostAndGrad(const Ansatz &ansatz, const ComplexMatrix &target,
-              const std::vector<double> &params, std::vector<double> *grad)
+AnsatzEvaluator::AnsatzEvaluator(const Ansatz &ansatz,
+                                 const ComplexMatrix &target)
+    : numQubits_(ansatz.numQubits()),
+      numParams_(static_cast<std::size_t>(ansatz.numParams())),
+      dim_(std::size_t{1} << ansatz.numQubits())
 {
-    const int nq = ansatz.numQubits();
-    const std::size_t dim = std::size_t{1} << nq;
-    const double n = static_cast<double>(dim);
-    const auto &gates = ansatz.gates();
-    const std::size_t m = gates.size();
-
-    // Cumulative prefixes P_k = F_k ... F_0 (P_{m-1} is the full V).
-    std::vector<ComplexMatrix> prefix(m);
-    ComplexMatrix cum = ComplexMatrix::identity(dim);
-    for (std::size_t k = 0; k < m; ++k) {
-        sim::applyGate(cum, bindGate(gates[k], params), nq);
-        prefix[k] = cum;
-    }
-    const ComplexMatrix &v = m == 0 ? cum : prefix[m - 1];
+    if (target.rows() != dim_ || target.cols() != dim_)
+        support::panic(support::strcat(
+            "AnsatzEvaluator: target is ", target.rows(), "x",
+            target.cols(), ", want ", dim_, "x", dim_, " for ",
+            numQubits_, " qubits"));
 
     const ComplexMatrix udag = target.dagger();
-    const Complex t = traceOfProduct(udag, v);
+    udag_.assign(udag.data(), udag.data() + dim_ * dim_);
+
+    slots_.resize(ansatz.gates().size());
+    for (std::size_t k = 0; k < slots_.size(); ++k) {
+        const AnsatzGate &g = ansatz.gates()[k];
+        Slot &s = slots_[k];
+        if (static_cast<int>(g.qubits.size()) != ir::gateArity(g.kind))
+            support::panic(support::strcat(
+                "AnsatzEvaluator: slot ", k, " (", ir::gateName(g.kind),
+                ") has ", g.qubits.size(), " qubits"));
+        if (ir::gateParamCount(g.kind) > 1)
+            support::panic(support::strcat(
+                "AnsatzEvaluator: slot ", k, " (", ir::gateName(g.kind),
+                ") takes more than one angle"));
+        s.gate.place(g.qubits.data(), static_cast<int>(g.qubits.size()),
+                     numQubits_);
+        s.kind = g.kind;
+        s.paramIndex = g.paramIndex;
+        if (g.paramIndex < 0) {
+            s.gate.setMatrix(g.kind, &g.fixedParam);
+            continue;
+        }
+        if (static_cast<std::size_t>(g.paramIndex) >= numParams_)
+            support::panic("AnsatzEvaluator: parameter index out of range");
+        switch (g.kind) {
+          case ir::GateKind::Rz:
+            s.gen = generatorFor(ir::GateKind::Z, g.qubits[0]);
+            break;
+          case ir::GateKind::Ry:
+            s.gen = generatorFor(ir::GateKind::Y, g.qubits[0]);
+            break;
+          case ir::GateKind::Rx:
+            s.gen = generatorFor(ir::GateKind::X, g.qubits[0]);
+            break;
+          case ir::GateKind::Rxx: {
+            // X⊗X is X on one qubit after X on the other: two row
+            // swaps, no arithmetic, so the rows compose exactly.
+            const Generator x0 = generatorFor(ir::GateKind::X, g.qubits[0]);
+            s.gen = generatorFor(ir::GateKind::X, g.qubits[1]);
+            for (GeneratorRow &row : s.gen)
+                row.src = x0[row.src].src;
+            break;
+          }
+          default:
+            support::panic("AnsatzEvaluator: unsupported parameterized "
+                           "kind");
+        }
+    }
+    arena_.resize((slots_.size() + 1) * dim_ * dim_);
+}
+
+AnsatzEvaluator::Generator
+AnsatzEvaluator::generatorFor(ir::GateKind pauli, int qubit) const
+{
+    // Row j of P·M as sim::applyLeft(P) computes it: a diagonal entry
+    // or a lone pair's phase scales the row, a pair with two unit
+    // phases swaps it untouched.
+    sim::BoundGate p;
+    p.place(&qubit, 1, numQubits_);
+    p.setMatrix(pauli, nullptr);
+    Generator gen(dim_);
+    for (std::size_t i = 0; i < dim_ / 2; ++i) {
+        const std::size_t base = p.groupBase(i);
+        for (std::size_t a = 0; a < 2; ++a) {
+            GeneratorRow &row = gen[base + p.offset(a)];
+            const std::size_t b =
+                p.shape() == sim::BoundGate::Shape::Permutation ? p.perm(a)
+                                                                : a;
+            row.src = base + p.offset(b);
+            row.phase = p.phase(a);
+            row.mul = b == a ? !isOne(p.phase(a))
+                             : !(isOne(p.phase(a)) && isOne(p.phase(b)));
+        }
+    }
+    return gen;
+}
+
+Complex
+AnsatzEvaluator::traceWithGenerator(const Complex *b, const Complex *m,
+                                    const Generator &gen) const
+{
+    // Tr(B · P·M) = Σ_ij B_ij (P·M)_ji, summed in the order the dense
+    // kernel's traceOfProduct summed it, with (P·M)_ji read from M.
+    Complex t = 0;
+    for (std::size_t i = 0; i < dim_; ++i) {
+        const Complex *brow = b + i * dim_;
+        for (std::size_t j = 0; j < dim_; ++j) {
+            const GeneratorRow &row = gen[j];
+            Complex x = m[row.src * dim_ + i];
+            if (row.mul)
+                x = linalg::mulFinite(x, row.phase);
+            t += linalg::mulFinite(brow[j], x);
+        }
+    }
+    return t;
+}
+
+double
+AnsatzEvaluator::costAndGrad(const std::vector<double> &params,
+                             std::vector<double> *grad)
+{
+    if (params.size() != numParams_)
+        support::panic(support::strcat("AnsatzEvaluator: ", params.size(),
+                                       " params for ", numParams_,
+                                       " free angles"));
+    const std::size_t dim = dim_;
+    const std::size_t dim2 = dim * dim;
+    const double n = static_cast<double>(dim);
+    const std::size_t m = slots_.size();
+    Complex *const arena = arena_.data();
+
+    // Cumulative prefixes P_k = F_k ... F_0 in slots 0..m-1 (P_{m-1}
+    // is the full V). Slot 0 starts as I, which is V when m = 0.
+    std::fill(arena, arena + dim2, Complex{});
+    for (std::size_t i = 0; i < dim; ++i)
+        arena[i * dim + i] = 1.0;
+    for (std::size_t k = 0; k < m; ++k) {
+        Slot &s = slots_[k];
+        if (s.paramIndex >= 0)
+            s.gate.setMatrix(s.kind,
+                             &params[static_cast<std::size_t>(s.paramIndex)]);
+        Complex *cur = arena + k * dim2;
+        if (k > 0)
+            std::copy(cur - dim2, cur, cur);
+        sim::applyLeft(cur, dim, s.gate);
+    }
+    const Complex *v = arena + (m == 0 ? 0 : m - 1) * dim2;
+
+    // Tr(U† · V), in traceOfProduct's order.
+    Complex t = 0;
+    for (std::size_t i = 0; i < dim; ++i)
+        for (std::size_t j = 0; j < dim; ++j)
+            t += linalg::mulFinite(udag_[i * dim + j], v[j * dim + i]);
     const double abs_t = std::abs(t);
     const double cost = std::max(0.0, 1.0 - abs_t / n);
     if (!grad)
         return cost;
 
-    grad->assign(static_cast<std::size_t>(ansatz.numParams()), 0.0);
+    grad->assign(numParams_, 0.0);
     if (abs_t < 1e-300)
         return cost; // gradient of |T| undefined at T = 0
     const Complex t_dir = std::conj(t) / abs_t;
 
     // B_k = U† · F_{m-1} ... F_{k+1}; starts at U† and absorbs F_k
     // from the right after each step.
-    ComplexMatrix b = udag;
+    Complex *b = arena + m * dim2;
+    std::copy(udag_.begin(), udag_.end(), b);
     for (std::size_t k = m; k-- > 0;) {
-        const AnsatzGate &g = gates[k];
-        if (g.paramIndex >= 0) {
+        const Slot &s = slots_[k];
+        if (s.paramIndex >= 0) {
             // dV/dθ_k = B_k† ... = A_{k+1} · (-i/2 P_k) · prefix_k.
-            ComplexMatrix pp = prefix[k];
-            applyGenerator(pp, g, nq);
             const Complex dt =
-                Complex(0, -0.5) * traceOfProduct(b, pp);
-            (*grad)[static_cast<std::size_t>(g.paramIndex)] =
+                Complex(0, -0.5) *
+                traceWithGenerator(b, arena + k * dim2, s.gen);
+            (*grad)[static_cast<std::size_t>(s.paramIndex)] =
                 -(1.0 / n) * std::real(t_dir * dt);
         }
-        if (k > 0) {
-            // Absorb F_k into B (right multiplication).
-            ComplexMatrix f = ComplexMatrix::identity(dim);
-            sim::applyGate(f, bindGate(g, params), nq);
-            b = b * f;
-        }
+        if (k > 0)
+            sim::applyRight(b, dim, s.gate);
     }
     return cost;
+}
+
+double
+hsCostAndGrad(const Ansatz &ansatz, const ComplexMatrix &target,
+              const std::vector<double> &params, std::vector<double> *grad)
+{
+    return AnsatzEvaluator(ansatz, target).costAndGrad(params, grad);
 }
 
 InstantiateResult
@@ -138,9 +217,10 @@ instantiate(const Ansatz &ansatz, const ComplexMatrix &target, double eps,
     const double cost_threshold =
         linalg::hsCostThresholdForDistance(eps_eff) * 0.25;
 
-    linalg::GradFn fn = [&ansatz, &target](const std::vector<double> &x,
-                                           std::vector<double> *g) {
-        return hsCostAndGrad(ansatz, target, x, g);
+    AnsatzEvaluator eval(ansatz, target);
+    linalg::GradFn fn = [&eval](const std::vector<double> &x,
+                                std::vector<double> *g) {
+        return eval.costAndGrad(x, g);
     };
 
     linalg::MinimizeOptions opts;

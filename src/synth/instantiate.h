@@ -7,8 +7,12 @@
 
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "linalg/complex_matrix.h"
 #include "linalg/numopt.h"
+#include "sim/unitary_sim.h"
 #include "support/rng.h"
 #include "support/timer.h"
 #include "synth/templates.h"
@@ -44,9 +48,74 @@ InstantiateResult instantiate(const Ansatz &ansatz,
                               const std::vector<double> *hint = nullptr);
 
 /**
+ * The Hilbert–Schmidt cost of one (ansatz, target) pair, evaluated
+ * many times: the inner loop of instantiate().
+ *
+ * Construction checks the shapes (target 2^n x 2^n, every slot's
+ * qubits inside the register) and binds each slot once: geometry for
+ * all, entries for the fixed ones, and each free slot's Pauli
+ * generator. A call then re-binds only the free slots' entries and
+ * works in one (m+1)·dim² arena — m prefixes and B — so it allocates
+ * nothing and builds no ir::Gate.
+ *
+ * The contract is bit identity with the dense formulation (kept as
+ * reference::hsCostAndGrad): the same floating-point operations in
+ * the same order. Prefixes are built with sim::applyLeft, which is
+ * the dense kernel's row arithmetic; B absorbs each gate with
+ * sim::applyRight, which sums exactly as `b = b * G_full` did; and
+ * the gradient trace applies the generator's row permutation and
+ * phase on the fly, multiplying exactly the entries the prefix copy
+ * would have held.
+ */
+class AnsatzEvaluator
+{
+  public:
+    AnsatzEvaluator(const Ansatz &ansatz,
+                    const linalg::ComplexMatrix &target);
+
+    /**
+     * The cost 1 - |Tr(U†V)|/N at @p params (numParams() entries) and,
+     * when @p grad is non-null, its gradient in the angles.
+     */
+    double costAndGrad(const std::vector<double> &params,
+                       std::vector<double> *grad);
+
+  private:
+    /** One row of P·M: phase · M[src] when mul, else M[src]. */
+    struct GeneratorRow
+    {
+        std::size_t src = 0;
+        linalg::Complex phase;
+        bool mul = false;
+    };
+    using Generator = std::vector<GeneratorRow>; //!< one row per index
+
+    struct Slot
+    {
+        sim::BoundGate gate;
+        ir::GateKind kind = ir::GateKind::X;
+        int paramIndex = -1;
+        Generator gen; //!< empty for fixed slots
+    };
+
+    Generator generatorFor(ir::GateKind pauli, int qubit) const;
+    linalg::Complex traceWithGenerator(const linalg::Complex *b,
+                                       const linalg::Complex *m,
+                                       const Generator &gen) const;
+
+    int numQubits_;
+    std::size_t numParams_;
+    std::size_t dim_;
+    std::vector<Slot> slots_;
+    std::vector<linalg::Complex> udag_;  //!< U†, dim²
+    std::vector<linalg::Complex> arena_; //!< m prefixes, then B
+};
+
+/**
  * The Hilbert–Schmidt cost 1 - |Tr(U†V)|/N and its gradient in the
- * ansatz angles (exposed for the numerical-gradient cross-check in
- * the test suite).
+ * ansatz angles: one AnsatzEvaluator call (exposed for the
+ * numerical-gradient cross-check in the test suite and the per-call
+ * probes; instantiate() keeps one evaluator across its iterations).
  */
 double hsCostAndGrad(const Ansatz &ansatz,
                      const linalg::ComplexMatrix &target,

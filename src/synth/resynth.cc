@@ -24,11 +24,8 @@ ir::Circuit
 cleanupNative(const ir::Circuit &c, ir::GateSetKind set)
 {
     ir::Circuit cur = transpile::fuseOneQubitRuns(c, set);
-    std::vector<rewrite::RewriteRule> reducing;
-    for (const rewrite::RewriteRule &r : rewrite::rulesFor(set))
-        if (r.sizeDelta() > 0)
-            reducing.push_back(r);
-    cur = rewrite::applyRulesToFixpoint(cur, reducing);
+    cur = rewrite::applyRulesToFixpoint(cur,
+                                        rewrite::sizeReducingRulesFor(set));
     return transpile::fuseOneQubitRuns(cur, set);
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "reference/instantiate.h"
 #include "sim/unitary_sim.h"
 #include "synth/instantiate.h"
 #include "tests/test_util.h"
@@ -149,6 +150,147 @@ TEST(Instantiate, HonorsDeadline)
     synth::instantiate(a, sim::circuitUnitary(t), 1e-12, 100, rng,
                        support::Deadline::in(0.2));
     EXPECT_LT(timer.seconds(), 2.0);
+}
+
+// --- bit identity with the legacy dense kernel ------------------------
+
+/**
+ * A seeded QSearch-shaped ansatz: the 1q layer, then @p blocks
+ * entangler blocks on random pairs, given in either qubit order (QSearch
+ * seed entanglers can be high-qubit-first), plus fixed slots snapped to
+ * kπ/2 — what simplifyAngles leaves, and what makes a rotation
+ * diagonal (Ry(0), Rz(π)) or dense with a near-zero entry (Ry(π)).
+ */
+synth::Ansatz
+seededAnsatz(int nq, int blocks, bool use_rxx, support::Rng &rng)
+{
+    synth::Ansatz a = synth::initialAnsatz(nq);
+    for (int b = 0; b < blocks; ++b) {
+        const int q0 = static_cast<int>(
+            rng.index(static_cast<std::size_t>(nq)));
+        int q1 = q0;
+        while (q1 == q0)
+            q1 = static_cast<int>(rng.index(static_cast<std::size_t>(nq)));
+        synth::appendEntanglerBlock(&a, q0, q1, use_rxx);
+        const int q = static_cast<int>(
+            rng.index(static_cast<std::size_t>(nq)));
+        const ir::GateKind kinds[] = {ir::GateKind::Ry, ir::GateKind::Rz,
+                                      ir::GateKind::Rx};
+        a.addFixed(kinds[rng.index(3)], {q},
+                   static_cast<double>(rng.index(5)) * M_PI / 2 - M_PI);
+    }
+    a.addFixed(ir::GateKind::Ry, {0}, 0.0);
+    a.addFixed(ir::GateKind::Rz, {nq - 1}, M_PI);
+    a.addFixed(ir::GateKind::Ry, {nq - 1}, M_PI);
+    a.addFixed(use_rxx ? ir::GateKind::Rxx : ir::GateKind::CZ, {nq - 1, 0},
+               M_PI / 2);
+    if (nq >= 3)
+        a.addFixed(ir::GateKind::CCX, {nq - 1, 0, 1});
+    return a;
+}
+
+void
+expectSameCostAndGrad(const synth::Ansatz &a,
+                      const linalg::ComplexMatrix &target,
+                      const std::vector<double> &x,
+                      synth::AnsatzEvaluator &eval)
+{
+    std::vector<double> want_grad;
+    std::vector<double> got_grad;
+    const double want =
+        reference::hsCostAndGrad(a, target, x, &want_grad);
+    EXPECT_EQ(want, eval.costAndGrad(x, &got_grad));
+    ASSERT_EQ(want_grad.size(), got_grad.size());
+    for (std::size_t k = 0; k < want_grad.size(); ++k)
+        EXPECT_EQ(want_grad[k], got_grad[k]) << "param " << k;
+
+    // The cost-only path (Adam's line probes, Nelder–Mead).
+    EXPECT_EQ(reference::hsCostAndGrad(a, target, x, nullptr),
+              eval.costAndGrad(x, nullptr));
+    EXPECT_EQ(want, synth::hsCostAndGrad(a, target, x, nullptr));
+}
+
+class LegacyKernel
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
+{
+};
+
+TEST_P(LegacyKernel, EvaluatorIsBitIdentical)
+{
+    const auto [nq, use_rxx] = GetParam();
+    for (int seed = 0; seed < 4; ++seed) {
+        support::Rng rng(static_cast<std::uint64_t>(1500 + 97 * nq + seed));
+        const synth::Ansatz a = seededAnsatz(nq, nq + seed, use_rxx, rng);
+        const linalg::ComplexMatrix target =
+            sim::circuitUnitary(testutil::randomNativeCircuit(
+                use_rxx ? ir::GateSetKind::IonQ : ir::GateSetKind::Nam, nq,
+                6 * nq, rng));
+        // One evaluator across several points: re-binding must leave
+        // no state behind from the previous call.
+        synth::AnsatzEvaluator eval(a, target);
+        for (int point = 0; point < 4; ++point) {
+            std::vector<double> x(static_cast<std::size_t>(a.numParams()));
+            for (double &xi : x)
+                xi = point == 3 ? static_cast<double>(rng.index(5)) *
+                                          M_PI / 2 - M_PI
+                                : rng.uniform(-M_PI, M_PI);
+            if (point == 2)
+                x[0] = 0.0; // a free slot that binds diagonal
+            SCOPED_TRACE(testing::Message()
+                         << nq << "q seed " << seed << " point " << point);
+            expectSameCostAndGrad(a, target, x, eval);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, LegacyKernel,
+    ::testing::Combine(::testing::Values(2, 3, 4), ::testing::Bool()));
+
+TEST(LegacyKernel, PerfbenchProbeAnsatzeAreBitIdentical)
+{
+    // The per-layer probes' shapes: 2 CX blocks at 2q, and the
+    // 2-block 3q ansatz against CCX.
+    synth::Ansatz a3 = synth::initialAnsatz(3);
+    synth::appendEntanglerBlock(&a3, 0, 1, false);
+    synth::appendEntanglerBlock(&a3, 1, 2, false);
+    ir::Circuit ccx(3);
+    ccx.ccx(0, 1, 2);
+    const linalg::ComplexMatrix target = sim::circuitUnitary(ccx);
+    synth::AnsatzEvaluator eval(a3, target);
+    expectSameCostAndGrad(
+        a3, target,
+        std::vector<double>(static_cast<std::size_t>(a3.numParams()), 0.3),
+        eval);
+}
+
+TEST(LegacyKernel, EmptyAnsatzIsBitIdentical)
+{
+    const synth::Ansatz a(2);
+    ir::Circuit t(2);
+    t.h(0);
+    const linalg::ComplexMatrix target = sim::circuitUnitary(t);
+    synth::AnsatzEvaluator eval(a, target);
+    expectSameCostAndGrad(a, target, {}, eval);
+}
+
+TEST(InstantiateDeathTest, RejectsTargetShapeMismatch)
+{
+    const synth::Ansatz a = synth::initialAnsatz(3);
+    const linalg::ComplexMatrix small = linalg::ComplexMatrix::identity(4);
+    const std::vector<double> x(9, 0.1);
+    EXPECT_DEATH(synth::hsCostAndGrad(a, small, x, nullptr),
+                 "target is 4x4, want 8x8");
+}
+
+TEST(InstantiateDeathTest, RejectsSlotQubitOutsideRegister)
+{
+    synth::Ansatz a = synth::initialAnsatz(2);
+    synth::appendEntanglerBlock(&a, 0, 2, false);
+    const linalg::ComplexMatrix target = linalg::ComplexMatrix::identity(4);
+    const std::vector<double> x(static_cast<std::size_t>(a.numParams()), 0.1);
+    EXPECT_DEATH(synth::hsCostAndGrad(a, target, x, nullptr),
+                 "qubit 2 outside a 2-qubit register");
 }
 
 } // namespace

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "ir/circuit.h"
 #include "linalg/unitary.h"
+#include "reference/instantiate.h"
 #include "sim/unitary_sim.h"
 #include "tests/test_util.h"
 
@@ -150,6 +153,112 @@ TEST(UnitarySim, ThreeQubitGateKernel)
         EXPECT_NEAR(std::abs(u(static_cast<std::size_t>(i),
                                static_cast<std::size_t>(i))),
                     1.0, 1e-12);
+}
+
+// --- bit identity with the legacy dense applyGate ----------------------
+
+/** Every entry equal, real and imaginary part, with ==. */
+void
+expectBitEqual(const ComplexMatrix &want, const ComplexMatrix &got)
+{
+    ASSERT_EQ(want.rows(), got.rows());
+    ASSERT_EQ(want.cols(), got.cols());
+    for (std::size_t r = 0; r < want.rows(); ++r)
+        for (std::size_t c = 0; c < want.cols(); ++c) {
+            ASSERT_EQ(want(r, c).real(), got(r, c).real()) << r << "," << c;
+            ASSERT_EQ(want(r, c).imag(), got(r, c).imag()) << r << "," << c;
+        }
+}
+
+/**
+ * A random gate of @p kind on a shuffled qubit subset; angles are
+ * drawn from random values and the kπ/2 snaps that make rotations
+ * diagonal or permutations.
+ */
+ir::Gate
+randomGate(ir::GateKind kind, int num_qubits, support::Rng &rng)
+{
+    std::vector<int> qs(static_cast<std::size_t>(num_qubits));
+    std::iota(qs.begin(), qs.end(), 0);
+    for (std::size_t i = qs.size(); i > 1; --i)
+        std::swap(qs[i - 1], qs[rng.index(i)]);
+    qs.resize(static_cast<std::size_t>(ir::gateArity(kind)));
+    std::vector<double> ps;
+    for (int p = 0; p < ir::gateParamCount(kind); ++p)
+        ps.push_back(rng.chance(0.5) ? rng.uniform(-M_PI, M_PI)
+                                     : (static_cast<double>(
+                                            rng.index(5)) - 2) *
+                                           M_PI / 2);
+    return ir::Gate(kind, qs, ps);
+}
+
+TEST(UnitarySimLegacy, ApplyGateBitIdenticalForEveryKind)
+{
+    support::Rng rng(1501);
+    for (int nq = 3; nq <= 4; ++nq) {
+        const std::size_t dim = std::size_t{1} << nq;
+        for (int k = 0; k < static_cast<int>(ir::GateKind::NumKinds); ++k)
+            for (int rep = 0; rep < 6; ++rep) {
+                const ir::Gate g =
+                    randomGate(static_cast<ir::GateKind>(k), nq, rng);
+                ComplexMatrix want(dim, dim);
+                for (std::size_t i = 0; i < dim * dim; ++i)
+                    want.data()[i] = {rng.uniform(-1, 1),
+                                      rng.uniform(-1, 1)};
+                ComplexMatrix got = want;
+                reference::applyGate(want, g, nq);
+                sim::applyGate(got, g, nq);
+                SCOPED_TRACE(g.toString());
+                expectBitEqual(want, got);
+            }
+    }
+}
+
+TEST(UnitarySimLegacy, CircuitUnitaryBitIdentical)
+{
+    support::Rng rng(1502);
+    const int nq = 4;
+    ir::Circuit c(nq);
+    for (int rep = 0; rep < 4; ++rep)
+        for (int k = 0; k < static_cast<int>(ir::GateKind::NumKinds); ++k)
+            c.add(randomGate(static_cast<ir::GateKind>(k), nq, rng));
+    ComplexMatrix want = ComplexMatrix::identity(16);
+    for (const ir::Gate &g : c.gates())
+        reference::applyGate(want, g, nq);
+    expectBitEqual(want, sim::circuitUnitary(c));
+}
+
+TEST(UnitarySimLegacy, ApplyRightMatchesDenseProduct)
+{
+    // u * G_full by the in-place column update equals the dense
+    // product against the embedded gate, including high-qubit-first
+    // orders and matrices with exact zeros.
+    support::Rng rng(1503);
+    const int nq = 3;
+    const std::size_t dim = 8;
+    for (int k = 0; k < static_cast<int>(ir::GateKind::NumKinds); ++k)
+        for (int rep = 0; rep < 6; ++rep) {
+            const ir::Gate g =
+                randomGate(static_cast<ir::GateKind>(k), nq, rng);
+            ComplexMatrix u(dim, dim);
+            for (std::size_t i = 0; i < dim * dim; ++i)
+                if (!rng.chance(0.25))
+                    u.data()[i] = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+            ComplexMatrix f = ComplexMatrix::identity(dim);
+            reference::applyGate(f, g, nq);
+            const ComplexMatrix want = u * f;
+            sim::applyRight(u.data(), dim, sim::BoundGate(g, nq));
+            SCOPED_TRACE(g.toString());
+            expectBitEqual(want, u);
+        }
+}
+
+TEST(UnitarySimDeathTest, BoundGateRejectsBadQubits)
+{
+    EXPECT_DEATH(sim::BoundGate(ir::Gate(ir::GateKind::CX, {0, 3}), 3),
+                 "outside");
+    EXPECT_DEATH(sim::BoundGate(ir::Gate(ir::GateKind::CX, {1, 1}), 3),
+                 "repeated");
 }
 
 } // namespace
