@@ -17,6 +17,15 @@
  * guoq-bench-v1 (BENCH_008.json); methodology in docs/PERFORMANCE.md.
  * Iteration counts scale with --scale so the CI smoke run (0.05)
  * finishes in seconds while artifact runs exercise long loops.
+ *
+ * The `fusion_move` case times the same loop with the 1q-fusion move
+ * mixed in at GUOQ's sampling rate (uniform over the rules plus
+ * fusion, core::TransformationSet::sample) under two fusion tools:
+ * `rebuild` (Transformation::apply's whole-circuit
+ * fuseOneQubitRuns, then RewriteEngine::assign) and `engine`
+ * (RewriteEngine::prepareFusion, which re-checks only the wires a
+ * commit touched). Its `engine_matches_rebuild` guard row is 1 only
+ * when both tools end on the same circuit after the same accepts.
  */
 
 #include <algorithm>
@@ -28,6 +37,8 @@
 #include "bench/harness.h"
 #include "bench/registry.h"
 #include "core/cost.h"
+#include "core/framework.h"
+#include "core/transformation.h"
 #include "ir/circuit.h"
 #include "ir/gate_set.h"
 #include "reference/applier.h"
@@ -270,10 +281,209 @@ runRewriteThroughput(CaseContext &ctx)
     }
 }
 
+struct FusionLoopOutcome
+{
+    LoopOutcome loop;
+    long fusionAttempts = 0;
+    long fusionFires = 0;
+};
+
+/**
+ * The GUOQ ε = 0 loop over rules plus fusion; rule passes always run
+ * on the engine, fusion runs through prepareFusion when
+ * @p engine_fusion and through Transformation::apply + assign (the
+ * whole-circuit rebuild) otherwise. Both variants draw the same RNG
+ * stream.
+ */
+FusionLoopOutcome
+runFusionLoop(const ir::Circuit &c, const core::TransformationSet &moves,
+              ir::GateSetKind set, const core::CostFunction &cost,
+              long iters, std::uint64_t seed, bool engine_fusion)
+{
+    FusionLoopOutcome out;
+    support::Rng rng(seed);
+    const support::Timer timer;
+    rewrite::RewriteEngine engine{ir::Circuit(c)};
+    double cost_curr = cost.fromCounts(engine.counts());
+    for (long i = 0; i < iters; ++i) {
+        const core::Transformation &tau = moves.all()[moves.sample(rng)];
+        if (tau.kind() == core::TransformKind::Fusion) {
+            ++out.fusionAttempts;
+            if (!engine_fusion) {
+                auto outcome = tau.apply(engine.circuit(), rng);
+                if (!outcome)
+                    continue;
+                ++out.fusionFires;
+                const double cost_cand = cost(outcome->circuit);
+                if (!decide(cost_cand, cost_curr, rng))
+                    continue;
+                engine.assign(std::move(outcome->circuit));
+                cost_curr = cost_cand;
+                ++out.loop.accepted;
+                continue;
+            }
+        }
+        auto att = tau.kind() == core::TransformKind::Fusion
+                       ? engine.prepareFusion(set)
+                       : engine.preparePassRandom(*tau.rule(), rng);
+        if (!att)
+            continue;
+        if (tau.kind() == core::TransformKind::Fusion)
+            ++out.fusionFires;
+        const double cost_cand = cost.fromCounts(att->counts);
+        if (!decide(cost_cand, cost_curr, rng)) {
+            engine.discard();
+            continue;
+        }
+        engine.commit();
+        cost_curr = cost_cand;
+        ++out.loop.accepted;
+    }
+    out.loop.seconds = timer.seconds();
+    out.loop.final_ = engine.release();
+    return out;
+}
+
+void
+runFusionMove(CaseContext &ctx)
+{
+    if (ctx.pretty())
+        std::printf("=== 1q fusion move: rules + fusion loop "
+                    "iterations/sec, whole-circuit rebuild vs engine "
+                    "===\n\n");
+
+    const ir::GateSetKind set = ir::GateSetKind::IbmEagle;
+    const core::TransformationSet moves(
+        set, core::TransformSelection::RewriteOnly, /*epsilon=*/0,
+        /*resynth_prob=*/0, /*per_call_seconds=*/1, /*max_qubits=*/3);
+    const core::CostFunction cost(core::Objective::TwoQubitCount, set);
+
+    struct Size
+    {
+        int qubits;
+        int gates;
+    };
+    const std::vector<Size> sizes = {{8, 64}, {12, 256}, {16, 1024}};
+    // Fusion is one move in fifteen, so the loop runs 5x longer than
+    // rewrite_throughput's to sample enough of them.
+    const long iters = std::max<long>(
+        1000, static_cast<long>(20000.0 * ctx.opts().scale));
+
+    support::TextTable table({"case", "tool", "iters/s", "speedup",
+                              "fusion fired", "matches rebuild"});
+
+    for (const Size &sz : sizes) {
+        support::Rng build_rng(700 + static_cast<std::uint64_t>(sz.gates));
+        const ir::Circuit c =
+            randomEagleCircuit(sz.qubits, sz.gates, build_rng);
+        const std::string bench =
+            support::strcat("fusion_", sz.qubits, "q_", sz.gates, "g");
+
+        double best_rebuild = 0;
+        double best_engine = 0;
+        bool all_match = true;
+        for (int t = 0; t < ctx.opts().trials; ++t) {
+            const std::uint64_t seed = ctx.opts().trialSeed(t);
+            const FusionLoopOutcome rebuild =
+                runFusionLoop(c, moves, set, cost, iters, seed, false);
+            const FusionLoopOutcome engine =
+                runFusionLoop(c, moves, set, cost, iters, seed, true);
+            const bool match =
+                rebuild.loop.final_.gates() == engine.loop.final_.gates() &&
+                rebuild.loop.accepted == engine.loop.accepted &&
+                rebuild.fusionFires == engine.fusionFires;
+            all_match = all_match && match;
+
+            const double rebuild_ips =
+                rebuild.loop.seconds > 0 ? iters / rebuild.loop.seconds
+                                         : 0.0;
+            const double engine_ips =
+                engine.loop.seconds > 0 ? iters / engine.loop.seconds
+                                        : 0.0;
+            for (const auto &[tool, ips, secs] :
+                 {std::tuple<const char *, double, double>{
+                      "rebuild", rebuild_ips, rebuild.loop.seconds},
+                  {"engine", engine_ips, engine.loop.seconds}}) {
+                CaseResult row;
+                row.benchmark = bench;
+                row.tool = tool;
+                row.metric = "iterations_per_second";
+                row.value = ips;
+                row.seconds = secs;
+                row.trial = t;
+                row.seed = seed;
+                ctx.record(std::move(row));
+            }
+
+            CaseResult fired;
+            fired.benchmark = bench;
+            fired.tool = "engine";
+            fired.metric = "fusion_fire_ratio";
+            fired.value = engine.fusionAttempts > 0
+                              ? static_cast<double>(engine.fusionFires) /
+                                    static_cast<double>(engine.fusionAttempts)
+                              : 0.0;
+            fired.trial = t;
+            fired.seed = seed;
+            ctx.record(std::move(fired));
+
+            CaseResult guard;
+            guard.benchmark = bench;
+            guard.tool = "engine";
+            guard.metric = "engine_matches_rebuild";
+            guard.value = match ? 1.0 : 0.0;
+            guard.trial = t;
+            guard.seed = seed;
+            ctx.record(std::move(guard));
+
+            if (t == 0 || rebuild_ips > best_rebuild)
+                best_rebuild = rebuild_ips;
+            if (t == 0 || engine_ips > best_engine)
+                best_engine = engine_ips;
+            if (t == 0) {
+                const std::string fires = support::strcat(
+                    engine.fusionFires, "/", engine.fusionAttempts);
+                table.addRow({bench, "rebuild", fmt("%.0f", rebuild_ips),
+                              "1.00x", fires, "-"});
+                table.addRow({bench, "engine", fmt("%.0f", engine_ips),
+                              fmt("%.2fx", engine_ips /
+                                               std::max(rebuild_ips, 1e-9)),
+                              fires, match ? "yes" : "NO"});
+            }
+        }
+
+        CaseResult agg;
+        agg.benchmark = bench;
+        agg.tool = "engine";
+        agg.metric = "speedup_vs_rebuild";
+        agg.value = best_rebuild > 0 ? best_engine / best_rebuild : 0.0;
+        agg.trial = 0;
+        agg.seed = ctx.opts().trialSeed(0);
+        ctx.record(std::move(agg));
+
+        if (!all_match)
+            support::panic("fusion_move: the engine's fusion move "
+                           "diverged from the whole-circuit rebuild");
+    }
+
+    if (ctx.pretty()) {
+        table.print();
+        std::printf("\nshape check: both fusion tools replay one "
+                    "decision sequence to the same circuit, and the "
+                    "engine is faster at every size.\n");
+    }
+}
+
 const CaseRegistrar kRewriteThroughput(
     "rewrite_throughput",
     "incremental rewrite engine vs legacy pass: Metropolis loop "
     "iterations/sec",
     330, runRewriteThroughput);
+
+const CaseRegistrar kFusionMove(
+    "fusion_move",
+    "1q fusion move in the rules + fusion loop: whole-circuit rebuild "
+    "vs the engine's per-wire marks, iterations/sec",
+    331, runFusionMove);
 
 } // namespace

@@ -121,7 +121,19 @@ toJson(const RunMeta &meta, const std::vector<CaseResult> &results)
         out += jsonEscape(meta.cases[i]);
         out += "\"";
     }
-    out += "]\n";
+    out += "],\n";
+    out += "    \"machine\": {\n";
+    str("\"cpu\"", meta.machine.cpu, "      ");
+    out += ",\n";
+    num("\"logical_cores\"", std::to_string(meta.machine.logicalCores),
+        "      ");
+    out += ",\n";
+    str("\"simd\"", meta.machine.simd, "      ");
+    out += ",\n";
+    str("\"compiler\"", meta.machine.compiler, "      ");
+    out += ",\n";
+    str("\"build_type\"", meta.machine.buildType, "      ");
+    out += "\n    }\n";
     out += "  },\n";
     out += "  \"results\": [";
     for (std::size_t i = 0; i < results.size(); ++i) {

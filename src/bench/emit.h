@@ -24,6 +24,7 @@ struct RunMeta
     std::uint64_t seed = 0;
     int threads = 1;
     std::vector<std::string> cases; //!< ids actually run, in order
+    MachineInfo machine;            //!< see probeMachine()
 };
 
 /**
@@ -32,7 +33,9 @@ struct RunMeta
  *   {
  *     "schema": "guoq-bench-v1",
  *     "run": {"scale": ..., "trials": ..., "seed": ..., "threads": ...,
- *             "cases": [...]},
+ *             "cases": [...],
+ *             "machine": {"cpu": ..., "logical_cores": ..., "simd": ...,
+ *                         "compiler": ..., "build_type": ...}},
  *     "results": [
  *       {"case": ..., "benchmark": ..., "tool": ..., "algorithm": ...,
  *        "metric": ..., "value": ..., "seconds": ..., "trial": ...,

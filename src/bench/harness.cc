@@ -3,17 +3,66 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
+#include <thread>
 #include <utility>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 #include "bench/registry.h"
+#include "sim/kernels.h"
 #include "support/logging.h"
 #include "support/options.h"
 #include "support/stats.h"
 #include "support/table.h"
 #include "support/timer.h"
 
+// Baked in by CMakeLists.txt; a build outside it says so.
+#ifndef GUOQ_COMPILER
+#define GUOQ_COMPILER "unknown"
+#endif
+#ifndef GUOQ_BUILD_TYPE
+#define GUOQ_BUILD_TYPE "unknown"
+#endif
+
 namespace guoq {
 namespace bench {
+
+namespace {
+
+/** The CPU brand string via cpuid (no file reads), or "unknown". */
+std::string
+cpuModel()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    unsigned int regs[12] = {};
+    if (__get_cpuid_max(0x80000000, nullptr) >= 0x80000004) {
+        for (unsigned int i = 0; i < 3; ++i)
+            __get_cpuid(0x80000002 + i, &regs[4 * i], &regs[4 * i + 1],
+                        &regs[4 * i + 2], &regs[4 * i + 3]);
+        std::string s(reinterpret_cast<const char *>(regs), sizeof regs);
+        s = s.c_str(); // the brand string is NUL-padded
+        const std::size_t a = s.find_first_not_of(' ');
+        return a == std::string::npos ? "unknown" : s.substr(a);
+    }
+#endif
+    return "unknown";
+}
+
+} // namespace
+
+MachineInfo
+probeMachine()
+{
+    MachineInfo m;
+    m.cpu = cpuModel();
+    m.logicalCores = std::thread::hardware_concurrency();
+    m.simd = sim::kernels::backendName();
+    m.compiler = GUOQ_COMPILER;
+    m.buildType = GUOQ_BUILD_TYPE;
+    return m;
+}
 
 RunOptions
 RunOptions::fromEnv()

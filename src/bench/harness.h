@@ -53,6 +53,24 @@ struct RunOptions
     }
 };
 
+/** The machine a run executed on (the bench artifact's provenance). */
+struct MachineInfo
+{
+    std::string cpu = "unknown"; //!< CPU brand string
+    unsigned logicalCores = 0;   //!< hardware threads the OS reports
+    std::string simd = "unknown"; //!< sim::kernels dispatch backend
+    std::string compiler = "unknown"; //!< "<compiler id> <version>"
+    std::string buildType = "unknown"; //!< CMAKE_BUILD_TYPE
+};
+
+/**
+ * Probe this process's machine: CPU brand via cpuid, logical cores,
+ * the SIMD backend the statevector kernels dispatch to, and the
+ * compiler and build type baked in at build time. The same probes as
+ * perfbench's meta line.
+ */
+MachineInfo probeMachine();
+
 /** One structured result row, the unit the emitters serialize. */
 struct CaseResult
 {

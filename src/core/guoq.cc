@@ -148,20 +148,20 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
         }
     };
 
-    // A whole-circuit candidate (fusion, resynthesis splice).
-    auto consider_circuit = [&](ir::Circuit &&candidate, double eps_spent,
-                                bool from_resynth) {
+    // A resynthesis splice: a whole-circuit candidate.
+    auto consider_resynth = [&](ir::Circuit &&candidate, double eps_spent) {
         const double cost_cand = cost(candidate);
         if (!decide(cost_cand))
             return;
         snapshot_if_leaving_best(cost_cand);
         engine.assign(std::move(candidate));
-        on_accepted(cost_cand, eps_spent, from_resynth);
+        on_accepted(cost_cand, eps_spent, /*from_resynth=*/true);
     };
 
-    // A prepared engine pass: count-based objectives price it from the
-    // delta counters alone; Fidelity/Depth materialize the candidate
-    // and use the legacy scan so accept decisions stay bit-identical.
+    // A prepared engine move (rule pass or fusion): count-based
+    // objectives price it from the delta counters alone;
+    // Fidelity/Depth materialize the candidate and use the legacy scan
+    // so accept decisions stay bit-identical.
     auto consider_prepared = [&](const rewrite::RewriteEngine::Attempt
                                      &att) {
         const double cost_cand = count_cost
@@ -200,9 +200,9 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
             // Accepted resynthesis discards interim rewrites (§5.3):
             // the candidate is the launch-time snapshot with the new
             // block.
-            consider_circuit(dag::splice(p.snapshot, p.selection,
+            consider_resynth(dag::splice(p.snapshot, p.selection,
                                          r.circuit),
-                             r.distance, /*from_resynth=*/true);
+                             r.distance);
         }
         pending.resize(keep);
     };
@@ -244,11 +244,14 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
             }
         }
 
-        if (tau.kind() == TransformKind::RewriteRule) {
-            // The engine fast path: probe only the matching kind
-            // bucket, price the pass from delta counters, and touch
-            // the circuit itself only on accept.
-            auto att = engine.preparePassRandom(*tau.rule(), rng);
+        if (tau.kind() != TransformKind::Resynthesis) {
+            // The exact moves run on the engine: a rule pass probes
+            // only the matching kind bucket, fusion refits only the
+            // wires a commit touched; both are priced from delta
+            // counters and touch the circuit itself only on accept.
+            auto att = tau.kind() == TransformKind::RewriteRule
+                           ? engine.preparePassRandom(*tau.rule(), rng)
+                           : engine.prepareFusion(set);
             if (!att) {
                 ++result.stats.noops;
                 continue;
@@ -263,16 +266,13 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
             ++result.stats.noops;
             continue;
         }
-        if (tau.kind() != TransformKind::Resynthesis)
-            ++result.stats.rewriteApplications;
         if (error_curr + outcome->epsilonSpent > cfg.epsilonTotal &&
             outcome->epsilonSpent > 0) {
             ++result.stats.budgetSkips;
             continue;
         }
-        consider_circuit(std::move(outcome->circuit),
-                         outcome->epsilonSpent,
-                         tau.kind() == TransformKind::Resynthesis);
+        consider_resynth(std::move(outcome->circuit),
+                         outcome->epsilonSpent);
     }
 
     harvestAsync(/*wait=*/true);

@@ -91,8 +91,10 @@ class Transformation
 
     /**
      * The wrapped rule for RewriteRule transformations (null
-     * otherwise). The GUOQ loop runs rule passes on its own
-     * long-lived rewrite::RewriteEngine instead of apply().
+     * otherwise). The GUOQ loop runs rule passes and fusion on its own
+     * long-lived rewrite::RewriteEngine (preparePassRandom,
+     * prepareFusion) instead of apply(); apply() serves callers
+     * without an engine.
      */
     const rewrite::RewriteRule *rule() const { return rule_; }
 

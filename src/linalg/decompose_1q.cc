@@ -37,14 +37,19 @@ decomposeZyz(const ComplexMatrix &u)
 {
     if (u.rows() != 2 || u.cols() != 2)
         support::panic("decomposeZyz requires a 2x2 matrix");
+    return decomposeZyz(u.data());
+}
 
+EulerZyz
+decomposeZyz(const Complex *u)
+{
     // Pull out the global phase: U = e^{iα} V with det(V) = 1.
-    const Complex det = u(0, 0) * u(1, 1) - u(0, 1) * u(1, 0);
+    const Complex det = u[0] * u[3] - u[1] * u[2];
     const double alpha = 0.5 * std::arg(det);
     const Complex inv_phase = std::polar(1.0, -alpha);
-    const Complex v00 = u(0, 0) * inv_phase;
-    const Complex v10 = u(1, 0) * inv_phase;
-    const Complex v11 = u(1, 1) * inv_phase;
+    const Complex v00 = u[0] * inv_phase;
+    const Complex v10 = u[2] * inv_phase;
+    const Complex v11 = u[3] * inv_phase;
 
     // V = [[cos(γ/2) e^{-i(β+δ)/2}, -sin(γ/2) e^{-i(β-δ)/2}],
     //      [sin(γ/2) e^{ i(β-δ)/2},  cos(γ/2) e^{ i(β+δ)/2}]]
@@ -72,6 +77,14 @@ decomposeZyz(const ComplexMatrix &u)
 
 EulerZxz
 decomposeZxz(const ComplexMatrix &u)
+{
+    if (u.rows() != 2 || u.cols() != 2)
+        support::panic("decomposeZxz requires a 2x2 matrix");
+    return decomposeZxz(u.data());
+}
+
+EulerZxz
+decomposeZxz(const Complex *u)
 {
     // Ry(γ) = Rz(π/2) Rx(γ) Rz(-π/2), so
     // Rz(β) Ry(γ) Rz(δ) = Rz(β + π/2) Rx(γ) Rz(δ - π/2).

@@ -38,8 +38,14 @@ struct EulerZxz
 /** Decompose a 2x2 unitary into ZYZ Euler angles. */
 EulerZyz decomposeZyz(const ComplexMatrix &u);
 
+/** decomposeZyz of a 2x2 unitary stored row-major at @p u. */
+EulerZyz decomposeZyz(const Complex *u);
+
 /** Decompose a 2x2 unitary into ZXZ Euler angles. */
 EulerZxz decomposeZxz(const ComplexMatrix &u);
+
+/** decomposeZxz of a 2x2 unitary stored row-major at @p u. */
+EulerZxz decomposeZxz(const Complex *u);
 
 /** 2x2 rotation matrices (shared by tests and transpile). */
 ComplexMatrix rxMatrix(double theta);

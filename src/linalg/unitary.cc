@@ -49,26 +49,37 @@ equalUpToGlobalPhase(const ComplexMatrix &u, const ComplexMatrix &v,
 {
     if (u.rows() != v.rows() || u.cols() != v.cols())
         return false;
+    return equalUpToGlobalPhase(u.data(), v.data(), u.rows() * u.cols(),
+                                tol);
+}
+
+bool
+equalUpToGlobalPhase(const Complex *u, const Complex *v, std::size_t n2,
+                     double tol)
+{
     // Find the largest-magnitude entry of u to anchor the phase.
     std::size_t best = 0;
     double bestMag = 0;
-    const std::size_t n2 = u.rows() * u.cols();
     for (std::size_t i = 0; i < n2; ++i) {
-        const double m = std::abs(u.data()[i]);
+        const double m = std::abs(u[i]);
         if (m > bestMag) {
             bestMag = m;
             best = i;
         }
     }
-    if (bestMag < tol)
-        return v.frobeniusNorm() < tol;
-    if (std::abs(v.data()[best]) < tol)
+    if (bestMag < tol) {
+        double norm2 = 0; // ComplexMatrix::frobeniusNorm's sum
+        for (std::size_t i = 0; i < n2; ++i)
+            norm2 += std::norm(v[i]);
+        return std::sqrt(norm2) < tol;
+    }
+    if (std::abs(v[best]) < tol)
         return false;
-    const Complex phase = v.data()[best] / u.data()[best];
+    const Complex phase = v[best] / u[best];
     if (std::abs(std::abs(phase) - 1.0) > tol)
         return false;
     for (std::size_t i = 0; i < n2; ++i)
-        if (std::abs(u.data()[i] * phase - v.data()[i]) > tol)
+        if (std::abs(u[i] * phase - v[i]) > tol)
             return false;
     return true;
 }

@@ -31,6 +31,14 @@ bool equalUpToGlobalPhase(const ComplexMatrix &u, const ComplexMatrix &v,
                           double tol = 1e-9);
 
 /**
+ * equalUpToGlobalPhase over raw row-major storage of @p n2 entries
+ * each (shapes are the caller's business): the same arithmetic,
+ * without a matrix object.
+ */
+bool equalUpToGlobalPhase(const Complex *u, const Complex *v,
+                          std::size_t n2, double tol = 1e-9);
+
+/**
  * The Hilbert–Schmidt *cost* used by the numerical synthesizers:
  *   1 - |Tr(U† V)| / N,
  * which is cheaper and better conditioned near zero than Δ² but has

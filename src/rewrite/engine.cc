@@ -2,18 +2,51 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "support/logging.h"
+#include "transpile/to_gate_set.h"
 
 namespace guoq {
 namespace rewrite {
+
+namespace {
+
+/**
+ * Call @p on_run(run) for each maximal run of two or more native 1q
+ * gates on wire @p q of @p c, in time order: the runs that
+ * transpile::fuseOneQubitRuns refits. @p run is caller-owned scratch.
+ */
+template <typename OnRun>
+void
+forEachRun(const ir::Circuit &c, const dag::CircuitDag &dag, int q,
+           ir::GateSetKind set, std::vector<const ir::Gate *> &run,
+           OnRun &&on_run)
+{
+    run.clear();
+    for (std::size_t i = dag.firstOnWire(q);; i = dag.next(i, q)) {
+        const ir::Gate *g = i == dag::kNoGate ? nullptr : &c.gate(i);
+        if (g != nullptr && g->arity() == 1 && ir::isNative(set, g->kind)) {
+            run.push_back(g);
+            continue;
+        }
+        if (run.size() >= 2)
+            on_run(std::span<const ir::Gate *const>(run));
+        run.clear();
+        if (g == nullptr)
+            return;
+    }
+}
+
+} // namespace
 
 RewriteEngine::RewriteEngine(ir::Circuit c) : circuit_(std::move(c))
 {
     candidate_ = ir::Circuit(circuit_.numQubits());
     reindex();
     recount();
+    clearFusionMarks();
 }
 
 void
@@ -36,6 +69,7 @@ RewriteEngine::assign(ir::Circuit c)
     circuit_ = std::move(c);
     reindex();
     recount();
+    clearFusionMarks();
 }
 
 ir::Circuit
@@ -43,6 +77,7 @@ RewriteEngine::release()
 {
     if (pending())
         support::panic("RewriteEngine::release: a pass is pending");
+    clearFusionMarks();
     return std::move(circuit_);
 }
 
@@ -152,6 +187,62 @@ RewriteEngine::preparePassRandom(const RewriteRule &rule,
     return preparePass(rule, anchor);
 }
 
+std::optional<RewriteEngine::Attempt>
+RewriteEngine::prepareFusion(ir::GateSetKind set)
+{
+    if (pending())
+        support::panic("RewriteEngine::prepareFusion: a pass is pending");
+    if (set == ir::GateSetKind::CliffordT || circuit_.empty())
+        return std::nullopt; // finite basis: fuseRun never fires
+    if (set != fusionSet_) {
+        clearFusionMarks();
+        fusionSet_ = set;
+    }
+
+    Attempt a;
+    a.counts = counts_;
+    a.fidelityLogCost = fidLogCost_;
+    transpile::OneQubitSeq fused;
+    for (int q = 0; q < circuit_.numQubits(); ++q) {
+        std::uint8_t &clean = fusionClean_[static_cast<std::size_t>(q)];
+        if (clean != 0)
+            continue;
+        bool shrinks = false;
+        forEachRun(circuit_, dag_, q, set, runScratch_,
+                   [&](std::span<const ir::Gate *const> run) {
+                       if (!transpile::fuseRun(run, set, fused))
+                           return;
+                       // The rare firing path: deltas for the counts,
+                       // allocation is fine here.
+                       shrinks = true;
+                       ++a.applications;
+                       for (const ir::Gate *g : run) {
+                           --a.counts.gates;
+                           if (ir::isTGate(g->kind))
+                               --a.counts.tGates;
+                           if (gateLogCost_)
+                               a.fidelityLogCost -= gateLogCost_(*g);
+                       }
+                       for (const ir::Gate &g : fused.gates(q)) {
+                           ++a.counts.gates;
+                           if (ir::isTGate(g.kind))
+                               ++a.counts.tGates;
+                           if (gateLogCost_)
+                               a.fidelityLogCost += gateLogCost_(g);
+                       }
+                   });
+        clean = shrinks ? 0 : 1;
+    }
+    if (a.applications == 0)
+        return std::nullopt;
+
+    pendingFusion_ = true;
+    candidateReady_ = false;
+    pendingCounts_ = a.counts;
+    pendingFidLogCost_ = a.fidelityLogCost;
+    return a;
+}
+
 void
 RewriteEngine::materializeInto(std::vector<ir::Gate> &out, bool move_gates)
 {
@@ -182,7 +273,14 @@ RewriteEngine::candidate()
     if (!pending())
         support::panic("RewriteEngine::candidate: no pass is pending");
     if (!candidateReady_) {
-        materializeInto(candidate_.gates(), /*move_gates=*/false);
+        if (pendingFusion_) {
+            candidate_ = transpile::fuseOneQubitRuns(circuit_, fusionSet_);
+            if (candidate_.counts() != pendingCounts_)
+                support::panic("RewriteEngine: fusion verdict diverges "
+                               "from fuseOneQubitRuns");
+        } else {
+            materializeInto(candidate_.gates(), /*move_gates=*/false);
+        }
         candidateReady_ = true;
     }
     return candidate_;
@@ -193,13 +291,33 @@ RewriteEngine::commit()
 {
     if (!pending())
         support::panic("RewriteEngine::commit: no pass is pending");
-    if (candidateReady_) {
-        // The pass was already materialized for a cost evaluation:
-        // adopt it wholesale instead of re-emitting.
-        circuit_.gates().swap(candidate_.gates());
+    if (pendingFusion_) {
+        // A fusion commits fuseOneQubitRuns' output; the wires it
+        // changes are exactly the unmarked ones whose runs shrank. The
+        // old gate list is freed, as assign() frees it: the next
+        // fusion candidate is built whole, so nothing would reuse it.
+        candidate();
+        circuit_.gates() = std::move(candidate_.gates());
+        candidate_.gates().clear();
     } else {
-        materializeInto(gateScratch_, /*move_gates=*/true);
-        circuit_.gates().swap(gateScratch_);
+        // Only the wires a removed or inserted gate touches change
+        // their gate sequence; every other fusion mark stays exact.
+        for (const PendingMatch &pm : pendingMatches_) {
+            for (std::size_t gi : pm.gateIndices)
+                for (int q : circuit_.gate(gi).qubits)
+                    fusionClean_[static_cast<std::size_t>(q)] = 0;
+            for (const ir::Gate &g : pm.replacement)
+                for (int q : g.qubits)
+                    fusionClean_[static_cast<std::size_t>(q)] = 0;
+        }
+        if (candidateReady_) {
+            // The pass was already materialized for a cost
+            // evaluation: adopt it wholesale instead of re-emitting.
+            circuit_.gates().swap(candidate_.gates());
+        } else {
+            materializeInto(gateScratch_, /*move_gates=*/true);
+            circuit_.gates().swap(gateScratch_);
+        }
     }
     counts_ = pendingCounts_;
     fidLogCost_ = pendingFidLogCost_;
@@ -219,6 +337,13 @@ RewriteEngine::clearPending()
     pendingMatches_.clear();
     emitOrder_.clear();
     candidateReady_ = false;
+    pendingFusion_ = false;
+}
+
+void
+RewriteEngine::clearFusionMarks()
+{
+    fusionClean_.assign(static_cast<std::size_t>(circuit_.numQubits()), 0);
 }
 
 void
@@ -294,6 +419,26 @@ RewriteEngine::checkInvariants() const
                 dag_.prev(i, q) != fresh.prev(i, q))
                 support::panic("RewriteEngine: stale wire link");
         }
+    }
+
+    // A clean mark is a claim that no run on the wire shrinks: re-check
+    // it from scratch. (Unmarked wires claim nothing.)
+    if (fusionClean_.size() != static_cast<std::size_t>(circuit_.numQubits()))
+        support::panic("RewriteEngine: fusion marks sized for another "
+                       "circuit");
+    std::vector<const ir::Gate *> run;
+    transpile::OneQubitSeq fused;
+    for (int q = 0; q < circuit_.numQubits(); ++q) {
+        if (fusionClean_[static_cast<std::size_t>(q)] == 0)
+            continue;
+        forEachRun(circuit_, fresh, q, fusionSet_, run,
+                   [&](std::span<const ir::Gate *const> r) {
+                       if (transpile::fuseRun(r, fusionSet_, fused))
+                           support::panic(support::strcat(
+                               "RewriteEngine: wire ", q,
+                               " is marked fusion-clean but holds a "
+                               "shrinkable 1q run"));
+                   });
     }
 }
 

@@ -13,14 +13,19 @@
  * working circuit together with a persistent wire index and
  * per-GateKind anchor buckets:
  *
- *   circuit_  ──┬── dag_      (CircuitDag, rebuilt in place, no alloc)
- *               └── buckets_  (GateKind -> ascending gate indices)
+ *   circuit_  ──┬── dag_         (CircuitDag, rebuilt in place, no alloc)
+ *               ├── buckets_     (GateKind -> ascending gate indices)
+ *               └── fusionClean_ (per wire: "no 1q run here shrinks")
  *
  *   preparePass(rule)  probe only buckets_[pattern[0].kind], in the
  *                      legacy cyclic anchor order   — O(bucket·|pat|)
- *   commit()           one compaction sweep + reindex — O(n), accepted
- *                      passes only
- *   discard()          drop the pending pass          — O(matches)
+ *   prepareFusion(set) refit only the 1q runs on wires not marked
+ *                      clean                        — O(dirty wires)
+ *   commit()           one compaction sweep + a full reindex() of
+ *                      dag_ and buckets_ — O(n), accepted moves only;
+ *                      clears the fusion mark of every wire a removed
+ *                      or inserted gate touches
+ *   discard()          drop the pending move        — O(matches)
  *
  * so a *rejected* attempt (the overwhelming majority in a Metropolis
  * search) costs bucket probes instead of several full-circuit passes,
@@ -28,23 +33,33 @@
  * configured) are maintained as deltas from the removed/inserted gate
  * lists instead of re-scanned.
  *
+ * The fusion marks are exact rather than heuristic: a wire's 1q runs,
+ * and so their fusion verdicts (transpile::fuseRun), depend only on
+ * the gate sequence of that wire, and a commit leaves the sequence of
+ * every wire it does not touch unchanged. assign() and release()
+ * clear every mark, and so does a prepareFusion for another gate set.
+ *
  * Equivalence contract: for any (circuit, rule, anchor), a
  * preparePass + commit yields bit-for-bit the gate list of the legacy
  * applyRulePass, and preparePassRandom consumes exactly the same RNG
  * draws as applyRulePassRandom — tests/test_rewrite_engine.cc holds
- * the two implementations to that differentially.
+ * the two implementations to that differentially. For fusion, a
+ * prepareFusion fires exactly when transpile::fuseOneQubitRuns shrinks
+ * the circuit, and its candidate is that function's output.
  */
 
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "dag/circuit_dag.h"
 #include "ir/circuit.h"
+#include "ir/gate_set.h"
 #include "rewrite/matcher.h"
 #include "rewrite/rule.h"
 #include "support/rng.h"
@@ -79,19 +94,19 @@ class RewriteEngine
      */
     void setGateLogCost(std::function<double(const ir::Gate &)> fn);
 
-    /** Replace the working circuit wholesale (fusion/resynth accepts). */
+    /** Replace the working circuit wholesale (resynthesis accepts). */
     void assign(ir::Circuit c);
 
     /** Move the working circuit out; the engine is then empty. */
     ir::Circuit release();
 
-    /** A prepared (not yet applied) rule pass. */
+    /** A prepared (not yet applied) rule pass or fusion move. */
     struct Attempt
     {
-        int applications = 0;       //!< matches recorded by the pass
+        int applications = 0;       //!< matches (fusion: runs) replaced
         std::size_t startAnchor = 0; //!< anchor the pass started from
-        ir::CircuitCounts counts;   //!< counts *after* the pass
-        double fidelityLogCost = 0; //!< cached sum after the pass
+        ir::CircuitCounts counts;   //!< counts *after* the move
+        double fidelityLogCost = 0; //!< cached sum after the move
     };
 
     /**
@@ -112,33 +127,48 @@ class RewriteEngine
     std::optional<Attempt> preparePassRandom(const RewriteRule &rule,
                                              support::Rng &rng);
 
-    /** True while a prepared pass awaits commit()/discard(). */
-    bool pending() const { return !pendingMatches_.empty(); }
+    /**
+     * The 1q-fusion move (transpile::fuseOneQubitRuns) as a prepared
+     * attempt: refits the 1q runs of every wire not marked clean, marks
+     * the wires where no run shrinks, and returns std::nullopt (nothing
+     * pending) when no run anywhere shrinks — exactly when
+     * fuseOneQubitRuns would not shrink the circuit. Otherwise the
+     * move is pending like a rule pass; its candidate() is
+     * fuseOneQubitRuns' output. Clifford+T never fires.
+     */
+    std::optional<Attempt> prepareFusion(ir::GateSetKind set);
+
+    /** True while a prepared move awaits commit()/discard(). */
+    bool pending() const
+    {
+        return !pendingMatches_.empty() || pendingFusion_;
+    }
 
     /**
-     * The circuit the pending pass would produce, materialized lazily
-     * (count-based objectives never need it). Valid until the pass is
+     * The circuit the pending move would produce, materialized lazily
+     * (count-based objectives never need it). Valid until the move is
      * resolved.
      */
     const ir::Circuit &candidate();
 
-    /** Apply the pending pass to the working circuit and reindex. */
+    /** Apply the pending move to the working circuit and reindex. */
     void commit();
 
-    /** Drop the pending pass; the working circuit is untouched. */
+    /** Drop the pending move; the working circuit is untouched. */
     void discard();
 
     /**
      * Revalidate every cached structure — wire links, kind buckets,
-     * counters — against a fresh scan of the working circuit. Panics
-     * (support::panic) on any corruption; used by the test suite after
-     * splices and by debugging sessions.
+     * counters, fusion marks — against a fresh scan of the working
+     * circuit. Panics (support::panic) on any corruption; used by the
+     * test suite after splices and by debugging sessions.
      */
     void checkInvariants() const;
 
   private:
     void reindex();
     void recount();
+    void clearFusionMarks();
     /**
      * Emit the pending pass into @p out, replicating the legacy
      * rebuild: at each original position, first the replacement blocks
@@ -177,6 +207,13 @@ class RewriteEngine
     ir::Circuit candidate_;
     bool candidateReady_ = false;
     std::vector<ir::Gate> gateScratch_; // commit compaction buffer
+
+    // Fusion state. fusionClean_[q] != 0 marks wire q as holding no 1q
+    // run that shrinks under fusionSet_.
+    std::vector<std::uint8_t> fusionClean_;
+    ir::GateSetKind fusionSet_ = ir::GateSetKind::Nam;
+    bool pendingFusion_ = false;
+    std::vector<const ir::Gate *> runScratch_;
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "transpile/decompose.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/decompose_1q.h"
@@ -16,12 +17,11 @@ using ir::GateKind;
 
 /** Append Rz(angle) unless the angle is ~0 mod 2π. */
 void
-pushRz(std::vector<Gate> *out, double angle, int qubit)
+pushRz(OneQubitSeq &out, double angle)
 {
     const double a = ir::normalizeAngle(angle);
     if (!ir::isZeroAngle(a, 1e-12))
-        out->emplace_back(GateKind::Rz, std::vector<int>{qubit},
-                          std::vector<double>{a});
+        out.push(GateKind::Rz, {a});
 }
 
 } // namespace
@@ -142,15 +142,47 @@ expandToCxBasis(const ir::Circuit &c)
     return out;
 }
 
+void
+OneQubitSeq::push(GateKind kind, std::initializer_list<double> params)
+{
+    if (size == kMaxGates || params.size() > kMaxParams)
+        support::panic("OneQubitSeq: capacity exceeded");
+    Op &op = ops[size++];
+    op.kind = kind;
+    op.numParams = static_cast<int>(params.size());
+    std::copy(params.begin(), params.end(), op.params.begin());
+}
+
+std::vector<Gate>
+OneQubitSeq::gates(int qubit) const
+{
+    std::vector<Gate> out;
+    out.reserve(size);
+    for (std::size_t i = 0; i < size; ++i)
+        out.emplace_back(ops[i].kind, std::vector<int>{qubit},
+                         std::vector<double>(ops[i].params.begin(),
+                                             ops[i].params.begin() +
+                                                 ops[i].numParams));
+    return out;
+}
+
 std::vector<Gate>
 oneQubitToNative(const linalg::ComplexMatrix &u, int qubit,
                  ir::GateSetKind set)
 {
     if (u.rows() != 2 || u.cols() != 2)
         support::panic("oneQubitToNative: matrix is not 2x2");
+    OneQubitSeq seq;
+    oneQubitToNativeInto(u.data(), set, seq);
+    return seq.gates(qubit);
+}
 
+void
+oneQubitToNativeInto(const linalg::Complex *u, ir::GateSetKind set,
+                     OneQubitSeq &out)
+{
+    out.clear();
     const linalg::EulerZyz e = linalg::decomposeZyz(u);
-    std::vector<Gate> out;
 
     // Single-gate dictionary: when the unitary is (mod phase) one of
     // the set's fixed native 1q gates, emit exactly that gate instead
@@ -158,10 +190,11 @@ oneQubitToNative(const linalg::ComplexMatrix &u, int qubit,
     for (GateKind kind : ir::nativeGates(set)) {
         if (ir::gateArity(kind) != 1 || ir::isParameterized(kind))
             continue;
-        if (linalg::equalUpToGlobalPhase(
-                ir::gateMatrix(kind, {}), u, 1e-10)) {
-            out.emplace_back(kind, std::vector<int>{qubit});
-            return out;
+        linalg::Complex g[4];
+        ir::gateMatrixInto(kind, nullptr, g);
+        if (linalg::equalUpToGlobalPhase(g, u, 4, 1e-10)) {
+            out.push(kind);
+            return;
         }
     }
     // X-axis rotations for sets with native Rx: ZYZ form
@@ -169,9 +202,8 @@ oneQubitToNative(const linalg::ComplexMatrix &u, int qubit,
     if (ir::isNative(set, GateKind::Rx) &&
         std::abs(ir::normalizeAngle(e.beta + M_PI / 2)) <= 1e-10 &&
         std::abs(ir::normalizeAngle(e.delta - M_PI / 2)) <= 1e-10) {
-        out.emplace_back(GateKind::Rx, std::vector<int>{qubit},
-                         std::vector<double>{e.gamma});
-        return out;
+        out.push(GateKind::Rx, {e.gamma});
+        return;
     }
 
     // Diagonal case: the whole unitary is a single Rz.
@@ -179,53 +211,46 @@ oneQubitToNative(const linalg::ComplexMatrix &u, int qubit,
         switch (set) {
           case ir::GateSetKind::Ibmq20:
             if (!ir::isZeroAngle(ir::normalizeAngle(e.beta + e.delta)))
-                out.emplace_back(
-                    GateKind::U1, std::vector<int>{qubit},
-                    std::vector<double>{
-                        ir::normalizeAngle(e.beta + e.delta)});
-            return out;
+                out.push(GateKind::U1,
+                         {ir::normalizeAngle(e.beta + e.delta)});
+            return;
           default:
-            pushRz(&out, e.beta + e.delta, qubit);
-            return out;
+            pushRz(out, e.beta + e.delta);
+            return;
         }
     }
 
     switch (set) {
       case ir::GateSetKind::Ibmq20:
         // U3(θ,φ,λ) ∝ Rz(φ) Ry(θ) Rz(λ); θ = π/2 is exactly a U2.
-        if (std::abs(ir::normalizeAngle(e.gamma - M_PI / 2)) <= 1e-12) {
-            out.emplace_back(GateKind::U2, std::vector<int>{qubit},
-                             std::vector<double>{e.beta, e.delta});
-        } else {
-            out.emplace_back(GateKind::U3, std::vector<int>{qubit},
-                             std::vector<double>{e.gamma, e.beta, e.delta});
-        }
-        return out;
-      case ir::GateSetKind::IbmEagle: {
+        if (std::abs(ir::normalizeAngle(e.gamma - M_PI / 2)) <= 1e-12)
+            out.push(GateKind::U2, {e.beta, e.delta});
+        else
+            out.push(GateKind::U3, {e.gamma, e.beta, e.delta});
+        return;
+      case ir::GateSetKind::IbmEagle:
         // U3(θ,φ,λ) ∝ Rz(φ+π) SX Rz(θ+π) SX Rz(λ) — the Qiskit
         // ZSXZSXZ form (gates emitted in time order, inner Rz first).
-        pushRz(&out, e.delta, qubit);
-        out.emplace_back(GateKind::SX, std::vector<int>{qubit});
-        pushRz(&out, e.gamma + M_PI, qubit);
-        out.emplace_back(GateKind::SX, std::vector<int>{qubit});
-        pushRz(&out, e.beta + M_PI, qubit);
-        return out;
-      }
+        pushRz(out, e.delta);
+        out.push(GateKind::SX);
+        pushRz(out, e.gamma + M_PI);
+        out.push(GateKind::SX);
+        pushRz(out, e.beta + M_PI);
+        return;
       case ir::GateSetKind::IonQ:
-        pushRz(&out, e.delta, qubit);
-        out.emplace_back(GateKind::Ry, std::vector<int>{qubit},
-                         std::vector<double>{e.gamma});
-        pushRz(&out, e.beta, qubit);
-        return out;
+        pushRz(out, e.delta);
+        out.push(GateKind::Ry, {e.gamma});
+        pushRz(out, e.beta);
+        return;
       case ir::GateSetKind::Nam: {
         // ZXZ with Rx(γ) = H Rz(γ) H.
         const linalg::EulerZxz x = linalg::decomposeZxz(u);
-        pushRz(&out, x.delta, qubit);
-        out.emplace_back(GateKind::H, std::vector<int>{qubit});
-        pushRz(&out, x.gamma, qubit);
-        out.emplace_back(GateKind::H, std::vector<int>{qubit});
-        pushRz(&out, x.beta, qubit);
-        return out;
+        pushRz(out, x.delta);
+        out.push(GateKind::H);
+        pushRz(out, x.gamma);
+        out.push(GateKind::H);
+        pushRz(out, x.beta);
+        return;
       }
       case ir::GateSetKind::CliffordT:
         support::panic("oneQubitToNative: Clifford+T is finite; use "

@@ -10,6 +10,9 @@
 
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <initializer_list>
 #include <vector>
 
 #include "ir/circuit.h"
@@ -48,6 +51,41 @@ std::vector<ir::Gate> rxxViaCx(double theta, int a, int b);
  */
 std::vector<ir::Gate> oneQubitToNative(const linalg::ComplexMatrix &u,
                                        int qubit, ir::GateSetKind set);
+
+/**
+ * A native 1q gate sequence of at most five gates (the longest
+ * oneQubitToNative form), stored inline so building one allocates
+ * nothing. The gates carry no qubit; gates() attaches one.
+ */
+struct OneQubitSeq
+{
+    static constexpr std::size_t kMaxGates = 5;
+    static constexpr std::size_t kMaxParams = 3; //!< U3
+
+    struct Op
+    {
+        ir::GateKind kind = ir::GateKind::X;
+        int numParams = 0;
+        std::array<double, kMaxParams> params{};
+    };
+
+    std::array<Op, kMaxGates> ops{};
+    std::size_t size = 0;
+
+    void clear() { size = 0; }
+    void push(ir::GateKind kind, std::initializer_list<double> params = {});
+
+    /** The sequence as gates on @p qubit. */
+    std::vector<ir::Gate> gates(int qubit) const;
+};
+
+/**
+ * oneQubitToNative of the 2x2 unitary stored row-major at @p u,
+ * written into @p out: the same decisions and angles, without
+ * allocating. oneQubitToNative is this plus OneQubitSeq::gates.
+ */
+void oneQubitToNativeInto(const linalg::Complex *u, ir::GateSetKind set,
+                          OneQubitSeq &out);
 
 /**
  * True when @p angle is an integer multiple of π/4 (within @p tol),

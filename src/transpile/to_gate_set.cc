@@ -1,8 +1,8 @@
 #include "transpile/to_gate_set.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "transpile/decompose.h"
 #include "support/logging.h"
 
 namespace guoq {
@@ -62,6 +62,37 @@ allNative(const ir::Circuit &c, ir::GateSetKind set)
     return true;
 }
 
+bool
+fuseRun(std::span<const ir::Gate *const> run, ir::GateSetKind set,
+        OneQubitSeq &fused)
+{
+    if (set == ir::GateSetKind::CliffordT || run.size() < 2)
+        return false;
+    // Product in time order: later gates multiply on the left. The
+    // 2x2 products repeat ComplexMatrix::operator*'s loop (zero start,
+    // exactly-zero left entries skipped), so the bits match it.
+    using linalg::Complex;
+    Complex u[4];
+    ir::gateMatrixInto(run[0]->kind, run[0]->params.data(), u);
+    for (std::size_t i = 1; i < run.size(); ++i) {
+        Complex g[4];
+        ir::gateMatrixInto(run[i]->kind, run[i]->params.data(), g);
+        Complex p[4] = {};
+        for (std::size_t r = 0; r < 2; ++r) {
+            for (std::size_t k = 0; k < 2; ++k) {
+                const Complex a = g[r * 2 + k];
+                if (a == Complex{})
+                    continue;
+                for (std::size_t j = 0; j < 2; ++j)
+                    p[r * 2 + j] += a * u[k * 2 + j];
+            }
+        }
+        std::copy(p, p + 4, u);
+    }
+    oneQubitToNativeInto(u, set, fused);
+    return fused.size < run.size();
+}
+
 ir::Circuit
 fuseOneQubitRuns(const ir::Circuit &c, ir::GateSetKind set)
 {
@@ -70,33 +101,24 @@ fuseOneQubitRuns(const ir::Circuit &c, ir::GateSetKind set)
 
     ir::Circuit out(c.numQubits());
     // Pending run of 1q gates per wire, in time order.
-    std::vector<std::vector<Gate>> runs(
+    std::vector<std::vector<const Gate *>> runs(
         static_cast<std::size_t>(c.numQubits()));
+    OneQubitSeq fused;
 
-    auto flush = [&out, set](std::vector<Gate> &run) {
-        if (run.empty())
-            return;
-        if (run.size() == 1) {
-            out.add(run[0]);
-            run.clear();
-            return;
+    auto flush = [&out, &fused, set](std::vector<const Gate *> &run) {
+        if (fuseRun(run, set, fused)) {
+            for (Gate &g : fused.gates(run[0]->qubits[0]))
+                out.add(std::move(g));
+        } else {
+            for (const Gate *g : run)
+                out.add(*g);
         }
-        // Product in time order: later gates multiply on the left.
-        linalg::ComplexMatrix u = run[0].matrix();
-        for (std::size_t i = 1; i < run.size(); ++i)
-            u = run[i].matrix() * u;
-        std::vector<Gate> fused =
-            oneQubitToNative(u, run[0].qubits[0], set);
-        const std::vector<Gate> &shorter =
-            fused.size() < run.size() ? fused : run;
-        for (const Gate &g : shorter)
-            out.add(g);
         run.clear();
     };
 
     for (const Gate &g : c.gates()) {
         if (g.arity() == 1 && ir::isNative(set, g.kind)) {
-            runs[static_cast<std::size_t>(g.qubits[0])].push_back(g);
+            runs[static_cast<std::size_t>(g.qubits[0])].push_back(&g);
         } else {
             for (int q : g.qubits)
                 flush(runs[static_cast<std::size_t>(q)]);

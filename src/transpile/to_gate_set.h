@@ -9,8 +9,11 @@
 
 #pragma once
 
+#include <span>
+
 #include "ir/circuit.h"
 #include "ir/gate_set.h"
+#include "transpile/decompose.h"
 
 namespace guoq {
 namespace transpile {
@@ -40,6 +43,18 @@ bool allNative(const ir::Circuit &c, ir::GateSetKind set);
  * to collapse arbitrarily long 1q runs.
  */
 ir::Circuit fuseOneQubitRuns(const ir::Circuit &c, ir::GateSetKind set);
+
+/**
+ * The fusion verdict for one run, shared by fuseOneQubitRuns and the
+ * rewrite engine's fusion move. @p run is a maximal run of native 1q
+ * gates on one wire, in time order. Writes the run's native refit
+ * into @p fused and returns true exactly when the refit is strictly
+ * shorter, i.e. when fuseOneQubitRuns replaces the run; always false
+ * for Clifford+T and for runs of fewer than two gates. Allocates
+ * nothing.
+ */
+bool fuseRun(std::span<const ir::Gate *const> run, ir::GateSetKind set,
+             OneQubitSeq &fused);
 
 } // namespace transpile
 } // namespace guoq

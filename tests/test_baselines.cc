@@ -216,5 +216,44 @@ TEST(BaselineGolden, ExactBeamSearchOutputPinned)
     }
 }
 
+// Step-capped rl-like runs: the exploration head's 1q fusion and the
+// greedy head's lookahead both run on the rewrite engine, so a change
+// to either must keep these outputs bit-for-bit.
+TEST(BaselineGolden, RlLikeOutputPinned)
+{
+    struct Pin
+    {
+        ir::GateSetKind set;
+        core::Objective objective;
+        std::uint64_t seed;
+        std::uint64_t want;
+    };
+    const Pin pins[] = {
+        {ir::GateSetKind::Nam, core::Objective::GateCount, 31,
+         0x247cf7cca639f5c9ull},
+        {ir::GateSetKind::Nam, core::Objective::TwoQubitCount, 32,
+         0xbbc0f72391d0360eull},
+        {ir::GateSetKind::IbmEagle, core::Objective::GateCount, 33,
+         0x623f36d2a6fe9202ull},
+        {ir::GateSetKind::IonQ, core::Objective::Fidelity, 34,
+         0x244b24e3b91cca96ull},
+    };
+    for (const Pin &p : pins) {
+        support::Rng rng(p.seed);
+        const ir::Circuit c = testutil::randomNativeCircuit(p.set, 5, 60, rng);
+        baselines::RlLikeOptions opts;
+        opts.objective = p.objective;
+        opts.timeBudgetSeconds = 600;
+        opts.maxSteps = 300;
+        opts.explorationRate = 0.5;
+        opts.seed = p.seed;
+        const ir::Circuit out = baselines::rlLikeOptimize(c, p.set, opts);
+        EXPECT_LT(out.size(), c.size()) << ir::gateSetName(p.set);
+        EXPECT_EQ(fnv1a(out.toString()), p.want)
+            << ir::gateSetName(p.set) << std::hex << " got 0x"
+            << fnv1a(out.toString());
+    }
+}
+
 } // namespace
 } // namespace guoq

@@ -132,6 +132,11 @@ goldenMeta()
     meta.seed = 7;
     meta.threads = 2;
     meta.cases = {"fig1", "table3"};
+    meta.machine.cpu = "Test CPU @ 1.00GHz";
+    meta.machine.logicalCores = 4;
+    meta.machine.simd = "avx2";
+    meta.machine.compiler = "GNU 12.2.0";
+    meta.machine.buildType = "Release";
     return meta;
 }
 
@@ -144,7 +149,14 @@ TEST(BenchEmit, JsonGolden)
                                  "    \"trials\": 2,\n"
                                  "    \"seed\": 7,\n"
                                  "    \"threads\": 2,\n"
-                                 "    \"cases\": [\"fig1\", \"table3\"]\n"
+                                 "    \"cases\": [\"fig1\", \"table3\"],\n"
+                                 "    \"machine\": {\n"
+                                 "      \"cpu\": \"Test CPU @ 1.00GHz\",\n"
+                                 "      \"logical_cores\": 4,\n"
+                                 "      \"simd\": \"avx2\",\n"
+                                 "      \"compiler\": \"GNU 12.2.0\",\n"
+                                 "      \"build_type\": \"Release\"\n"
+                                 "    }\n"
                                  "  },\n"
                                  "  \"results\": [\n"
                                  "    {\n"

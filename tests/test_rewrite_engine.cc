@@ -16,7 +16,11 @@
  *    fingerprints captured on the pre-engine implementation — the
  *    engine swap must be bit-for-bit invisible;
  *  - fixpoint: the engine-backed applyRulesToFixpoint equals a local
- *    replica of the legacy round-robin loop.
+ *    replica of the legacy round-robin loop;
+ *  - fusion: under random interleavings of rule passes, fusion moves
+ *    and wholesale assigns, every prepareFusion verdict equals
+ *    transpile::fuseOneQubitRuns, and the per-wire fusion marks
+ *    survive a from-scratch re-check after every step.
  */
 
 #include <cmath>
@@ -34,6 +38,7 @@
 #include "rewrite/rule.h"
 #include "support/rng.h"
 #include "tests/test_util.h"
+#include "transpile/to_gate_set.h"
 
 namespace {
 
@@ -202,6 +207,166 @@ TEST(RewriteEngineDifferential, FixpointMatchesLegacyRoundRobin)
 }
 
 // ---------------------------------------------------------------------
+// Fusion: prepareFusion == fuseOneQubitRuns, marks re-checked each step.
+// ---------------------------------------------------------------------
+
+/** @p c with two random native 1q gates appended on one random wire. */
+ir::Circuit
+withFreshRun(const ir::Circuit &c, ir::GateSetKind set, support::Rng &rng)
+{
+    std::vector<ir::GateKind> oneq;
+    for (const ir::GateKind k : ir::nativeGates(set))
+        if (ir::gateArity(k) == 1)
+            oneq.push_back(k);
+    ir::Circuit out = c;
+    const int q =
+        static_cast<int>(rng.index(static_cast<std::size_t>(c.numQubits())));
+    for (int i = 0; i < 2; ++i) {
+        const ir::GateKind k = oneq[rng.index(oneq.size())];
+        std::vector<double> params;
+        for (int p = 0; p < ir::gateParamCount(k); ++p)
+            params.push_back(rng.uniform(-M_PI, M_PI));
+        out.add(k, {q}, std::move(params));
+    }
+    return out;
+}
+
+TEST(RewriteEngineFusion, VerdictMatchesFuseOneQubitRunsUnderInterleavings)
+{
+    for (const ir::GateSetKind set : kAllSets) {
+        const auto &rules = rewrite::rulesFor(set);
+        support::Rng rng(61 + static_cast<std::uint64_t>(set));
+        int fired = 0;
+        int quiet = 0;
+        for (int round = 0; round < 2; ++round) {
+            ir::Circuit c = testutil::randomNativeCircuit(
+                set, 5, 60 + 30 * round, rng);
+            rewrite::RewriteEngine engine{ir::Circuit(c)};
+            for (int step = 0; step < 300; ++step) {
+                const std::size_t action = rng.index(10);
+                if (action < 4) {
+                    // A rule pass, committed or discarded.
+                    const rewrite::RewriteRule &rule =
+                        rules[rng.index(rules.size())];
+                    if (engine.preparePassRandom(rule, rng)) {
+                        if (rng.chance(0.7)) {
+                            engine.commit();
+                            c = engine.circuit();
+                        } else {
+                            engine.discard();
+                        }
+                    }
+                } else if (action < 9) {
+                    const ir::Circuit want =
+                        transpile::fuseOneQubitRuns(c, set);
+                    const bool shrinks = want.size() < c.size();
+                    auto att = engine.prepareFusion(set);
+                    ASSERT_EQ(att.has_value(), shrinks)
+                        << ir::gateSetName(set) << " step " << step;
+                    if (!att) {
+                        ++quiet;
+                    } else {
+                        ++fired;
+                        EXPECT_EQ(att->counts, want.counts());
+                        if (rng.chance(0.5)) {
+                            ASSERT_TRUE(
+                                sameGates(engine.candidate(), want));
+                        }
+                        if (rng.chance(0.6)) {
+                            engine.commit();
+                            c = want;
+                        } else {
+                            engine.discard();
+                        }
+                    }
+                } else {
+                    c = withFreshRun(c, set, rng);
+                    engine.assign(ir::Circuit(c));
+                }
+                ASSERT_TRUE(sameGates(engine.circuit(), c))
+                    << ir::gateSetName(set) << " step " << step;
+                EXPECT_EQ(engine.counts(), c.counts());
+                engine.checkInvariants();
+            }
+        }
+        EXPECT_GT(quiet, 0) << ir::gateSetName(set);
+        if (set == ir::GateSetKind::CliffordT)
+            EXPECT_EQ(fired, 0);
+        else
+            EXPECT_GT(fired, 0) << ir::gateSetName(set);
+    }
+}
+
+TEST(RewriteEngineFusion, CliffordTNeverFires)
+{
+    const ir::GateSetKind set = ir::GateSetKind::CliffordT;
+    ir::Circuit c(1);
+    for (int i = 0; i < 8; ++i)
+        c.t(0); // T^8 = I: a finite basis still has no Euler refit
+    rewrite::RewriteEngine engine{ir::Circuit(c)};
+    EXPECT_FALSE(engine.prepareFusion(set).has_value());
+    EXPECT_FALSE(engine.pending());
+    EXPECT_TRUE(sameGates(transpile::fuseOneQubitRuns(c, set), c));
+}
+
+TEST(RewriteEngineFusion, CommitsFuseOneQubitRunsOutputThenStaysQuiet)
+{
+    const ir::GateSetKind set = ir::GateSetKind::Nam;
+    ir::Circuit c(2);
+    c.rz(0.3, 0);
+    c.rz(0.4, 0); // shrinks to one Rz
+    c.cx(0, 1);
+    c.h(1);
+    c.h(1); // shrinks to nothing
+    rewrite::RewriteEngine engine{ir::Circuit(c)};
+    auto att = engine.prepareFusion(set);
+    ASSERT_TRUE(att.has_value());
+    EXPECT_EQ(att->applications, 2);
+    EXPECT_EQ(att->counts.gates, 2u);
+    engine.commit();
+    engine.checkInvariants();
+    EXPECT_TRUE(sameGates(engine.circuit(),
+                          transpile::fuseOneQubitRuns(c, set)));
+    EXPECT_FALSE(engine.prepareFusion(set).has_value());
+    engine.checkInvariants();
+}
+
+TEST(RewriteEngineFusion, RuleCommitReopensOnlyTheWiresItTouched)
+{
+    // Each wire alone holds no shrinkable run until cx_cancel removes
+    // the CX pair between two Rz on wire 0. The commit inserts nothing,
+    // so only its removed gates can clear wire 0's mark.
+    const ir::GateSetKind set = ir::GateSetKind::Nam;
+    ir::Circuit c(3);
+    c.rz(0.3, 0);
+    c.cx(0, 1);
+    c.cx(0, 1);
+    c.rz(0.4, 0);
+    c.h(2);
+    c.rz(0.5, 2);
+    rewrite::RewriteEngine engine{ir::Circuit(c)};
+    ASSERT_FALSE(engine.prepareFusion(set).has_value());
+
+    const rewrite::RewriteRule *cancel = nullptr;
+    for (const rewrite::RewriteRule &rule : rewrite::rulesFor(set))
+        if (rule.name() == "cx_cancel")
+            cancel = &rule;
+    ASSERT_NE(cancel, nullptr);
+    ASSERT_TRUE(engine.preparePass(*cancel, 0).has_value());
+    engine.commit();
+    engine.checkInvariants();
+    const ir::Circuit cancelled = engine.circuit();
+
+    auto att = engine.prepareFusion(set);
+    ASSERT_TRUE(att.has_value());
+    EXPECT_EQ(att->applications, 1); // wire 0's Rz pair, not wire 2
+    engine.commit();
+    EXPECT_TRUE(sameGates(engine.circuit(),
+                          transpile::fuseOneQubitRuns(cancelled, set)));
+    engine.checkInvariants();
+}
+
+// ---------------------------------------------------------------------
 // Cached counters.
 // ---------------------------------------------------------------------
 
@@ -278,6 +443,42 @@ TEST(RewriteEngineDeath, CheckInvariantsCatchesRewiredGate)
     const_cast<ir::Circuit &>(engine.circuit()).gates()[1] =
         ir::Gate(ir::GateKind::CX, {0, 2});
     EXPECT_DEATH(engine.checkInvariants(), "RewriteEngine");
+}
+
+/** A Nam ZXZ run on wire 0 whose refit is no shorter (five gates). */
+ir::Circuit
+zxzRun()
+{
+    ir::Circuit c(2);
+    c.cx(0, 1);
+    c.rz(0.5, 0);
+    c.h(0);
+    c.rz(0.7, 0);
+    c.h(0);
+    c.rz(0.3, 0);
+    return c;
+}
+
+TEST(RewriteEngineDeath, CheckInvariantsCatchesStaleFusionMark)
+{
+    const ir::GateSetKind set = ir::GateSetKind::Nam;
+    // Zeroing the middle Rz turns the run into Rz(0.8): it now
+    // shrinks, yet kinds, counts and wires are all unchanged, so only
+    // the fusion-mark re-check can see it.
+    const auto tamper = [](rewrite::RewriteEngine &engine) {
+        const_cast<ir::Circuit &>(engine.circuit()).gates()[3].params[0] =
+            0.0;
+    };
+
+    rewrite::RewriteEngine unmarked{zxzRun()};
+    tamper(unmarked);
+    unmarked.checkInvariants(); // no mark, no claim to check
+
+    rewrite::RewriteEngine engine{zxzRun()};
+    ASSERT_FALSE(engine.prepareFusion(set).has_value());
+    engine.checkInvariants(); // wire 0 is now marked clean
+    tamper(engine);
+    EXPECT_DEATH(engine.checkInvariants(), "fusion-clean");
 }
 
 TEST(RewriteEngineDeath, UnresolvedPassRefusesNextPass)

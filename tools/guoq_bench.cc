@@ -186,6 +186,7 @@ main(int argc, char **argv)
     meta.threads = opts.threads;
     for (const bench::BenchCase *c : cases)
         meta.cases.push_back(c->id);
+    meta.machine = bench::probeMachine();
 
     for (const std::string &out : outs) {
         const bool csv =
