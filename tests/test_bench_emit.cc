@@ -295,157 +295,5 @@ TEST(BenchEmit, EscapingHelpers)
     EXPECT_EQ(bench::csvField("a\"b"), "\"a\"\"b\"");
 }
 
-TEST(BatchEmit, JsonGolden)
-{
-    bench::BatchRunMeta meta;
-    meta.inputDir = "suite";
-    meta.outputDir = "suite-opt";
-    meta.gateSet = "nam";
-    meta.objective = "2q-count";
-    meta.algorithm = "guoq";
-    meta.epsilon = 0;
-    meta.timeBudgetSeconds = 1;
-    meta.threads = 1;
-    meta.jobs = 2;
-    meta.seed = 7;
-
-    bench::BatchFileEntry ok;
-    ok.file = "bell.qasm";
-    ok.status = "ok";
-    ok.dialect = "qasm2";
-    ok.algorithm = "guoq";
-    ok.output = "suite-opt/bell.qasm";
-    ok.qubits = 2;
-    ok.gatesBefore = 4;
-    ok.gatesAfter = 2;
-    ok.twoQubitBefore = 2;
-    ok.twoQubitAfter = 1;
-    ok.errorBound = 0;
-    ok.seconds = 0.5;
-    ok.verified = true;
-    ok.verifyMethod = "dense";
-    ok.verifyDistance = 1.5e-08;
-    ok.verifyBound = 0;
-    ok.verifyConfidence = 1;
-    ok.verifyShots = 0;
-    ok.verifyVerdict = "equivalent";
-
-    bench::BatchFileEntry bad;
-    bad.file = "sub/broken.qasm";
-    bad.status = "parse_error";
-    bad.dialect = "qasm3";
-    bad.algorithm = "guoq";
-    bad.line = 3;
-    bad.col = 7;
-    bad.message = "unknown gate 'frob\"nicate'";
-    bad.seconds = 0;
-
-    bench::BatchFileEntry skip;
-    skip.file = "wide.qasm";
-    skip.status = "verify_skipped";
-    skip.dialect = "qasm2";
-    skip.algorithm = "guoq";
-    skip.output = "suite-opt/wide.qasm";
-    skip.qubits = 30;
-    skip.gatesBefore = 60;
-    skip.gatesAfter = 60;
-    skip.twoQubitBefore = 29;
-    skip.twoQubitAfter = 29;
-    skip.errorBound = 0;
-    skip.message = "verify skipped: 30 qubits exceed the sampling cap";
-    skip.seconds = 0.25;
-
-    const std::string expected =
-        "{\n"
-        "  \"schema\": \"guoq-batch-v1\",\n"
-        "  \"run\": {\n"
-        "    \"input_dir\": \"suite\",\n"
-        "    \"output_dir\": \"suite-opt\",\n"
-        "    \"gate_set\": \"nam\",\n"
-        "    \"objective\": \"2q-count\",\n"
-        "    \"algorithm\": \"guoq\",\n"
-        "    \"epsilon\": 0,\n"
-        "    \"time\": 1,\n"
-        "    \"threads\": 1,\n"
-        "    \"jobs\": 2,\n"
-        "    \"seed\": 7,\n"
-        "    \"synth_workers\": 0,\n"
-        "    \"synth_cache\": \"\",\n"
-        "    \"files\": 3,\n"
-        "    \"ok\": 1,\n"
-        "    \"failed\": 1,\n"
-        "    \"verify_skipped\": 1\n"
-        "  },\n"
-        "  \"files\": [\n"
-        "    {\n"
-        "      \"file\": \"bell.qasm\",\n"
-        "      \"status\": \"ok\",\n"
-        "      \"dialect\": \"qasm2\",\n"
-        "      \"algorithm\": \"guoq\",\n"
-        "      \"output\": \"suite-opt/bell.qasm\",\n"
-        "      \"qubits\": 2,\n"
-        "      \"gates_before\": 4,\n"
-        "      \"gates_after\": 2,\n"
-        "      \"twoq_before\": 2,\n"
-        "      \"twoq_after\": 1,\n"
-        "      \"error_bound\": 0,\n"
-        "      \"synth_cache_hits\": 0,\n"
-        "      \"synth_cache_misses\": 0,\n"
-        "      \"synth_cache_stores\": 0,\n"
-        "      \"pool_queue_peak\": 0,\n"
-        "      \"verify\": {\n"
-        "        \"method\": \"dense\",\n"
-        "        \"distance\": 1.5e-08,\n"
-        "        \"bound\": 0,\n"
-        "        \"confidence\": 1,\n"
-        "        \"shots\": 0,\n"
-        "        \"verdict\": \"equivalent\"\n"
-        "      },\n"
-        "      \"seconds\": 0.5\n"
-        "    },\n"
-        "    {\n"
-        "      \"file\": \"sub/broken.qasm\",\n"
-        "      \"status\": \"parse_error\",\n"
-        "      \"dialect\": \"qasm3\",\n"
-        "      \"algorithm\": \"guoq\",\n"
-        "      \"line\": 3,\n"
-        "      \"col\": 7,\n"
-        "      \"message\": \"unknown gate 'frob\\\"nicate'\",\n"
-        "      \"seconds\": 0\n"
-        "    },\n"
-        "    {\n"
-        "      \"file\": \"wide.qasm\",\n"
-        "      \"status\": \"verify_skipped\",\n"
-        "      \"dialect\": \"qasm2\",\n"
-        "      \"algorithm\": \"guoq\",\n"
-        "      \"output\": \"suite-opt/wide.qasm\",\n"
-        "      \"qubits\": 30,\n"
-        "      \"gates_before\": 60,\n"
-        "      \"gates_after\": 60,\n"
-        "      \"twoq_before\": 29,\n"
-        "      \"twoq_after\": 29,\n"
-        "      \"error_bound\": 0,\n"
-        "      \"synth_cache_hits\": 0,\n"
-        "      \"synth_cache_misses\": 0,\n"
-        "      \"synth_cache_stores\": 0,\n"
-        "      \"pool_queue_peak\": 0,\n"
-        "      \"message\": \"verify skipped: 30 qubits exceed the "
-        "sampling cap\",\n"
-        "      \"seconds\": 0.25\n"
-        "    }\n"
-        "  ]\n"
-        "}\n";
-    EXPECT_EQ(bench::toBatchJson(meta, {ok, bad, skip}), expected);
-}
-
-TEST(BatchEmit, EmptyRunStillParses)
-{
-    bench::BatchRunMeta meta;
-    const std::string doc = bench::toBatchJson(meta, {});
-    EXPECT_NE(doc.find("\"files\": []"), std::string::npos);
-    EXPECT_NE(doc.find("\"ok\": 0"), std::string::npos);
-    EXPECT_NE(doc.find("\"failed\": 0"), std::string::npos);
-}
-
 } // namespace
 } // namespace guoq
