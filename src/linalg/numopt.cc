@@ -70,101 +70,6 @@ minimizeAdam(const GradFn &f, std::vector<double> x0,
 }
 
 MinimizeResult
-minimizeNelderMead(const std::function<double(const std::vector<double> &)> &f,
-                   std::vector<double> x0, const MinimizeOptions &opts)
-{
-    const std::size_t n = x0.size();
-    MinimizeResult res;
-    if (n == 0) {
-        res.x = x0;
-        res.value = f(x0);
-        res.converged = res.value <= opts.tolerance;
-        return res;
-    }
-
-    // Initial simplex: x0 plus axis-aligned perturbations.
-    std::vector<std::vector<double>> pts(n + 1, x0);
-    std::vector<double> vals(n + 1);
-    for (std::size_t i = 0; i < n; ++i)
-        pts[i + 1][i] += 0.25;
-    for (std::size_t i = 0; i <= n; ++i)
-        vals[i] = f(pts[i]);
-
-    const double alpha = 1.0, gamma = 2.0, rho = 0.5, sigma = 0.5;
-    for (int it = 0; it < opts.maxIters; ++it) {
-        if ((it & 15) == 0 && opts.deadline.expired())
-            break;
-        // Order simplex by value.
-        std::vector<std::size_t> order(n + 1);
-        for (std::size_t i = 0; i <= n; ++i)
-            order[i] = i;
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      return vals[a] < vals[b];
-                  });
-        res.iterations = it + 1;
-        if (vals[order[0]] <= opts.tolerance)
-            break;
-
-        // Centroid of all but worst.
-        std::vector<double> cen(n, 0.0);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t d = 0; d < n; ++d)
-                cen[d] += pts[order[i]][d] / static_cast<double>(n);
-        const std::size_t worst = order[n];
-
-        auto blend = [&](double t) {
-            std::vector<double> p(n);
-            for (std::size_t d = 0; d < n; ++d)
-                p[d] = cen[d] + t * (cen[d] - pts[worst][d]);
-            return p;
-        };
-
-        const auto refl = blend(alpha);
-        const double frefl = f(refl);
-        if (frefl < vals[order[0]]) {
-            const auto expd = blend(gamma);
-            const double fexpd = f(expd);
-            if (fexpd < frefl) {
-                pts[worst] = expd;
-                vals[worst] = fexpd;
-            } else {
-                pts[worst] = refl;
-                vals[worst] = frefl;
-            }
-        } else if (frefl < vals[order[n - 1]]) {
-            pts[worst] = refl;
-            vals[worst] = frefl;
-        } else {
-            const auto con = blend(-rho);
-            const double fcon = f(con);
-            if (fcon < vals[worst]) {
-                pts[worst] = con;
-                vals[worst] = fcon;
-            } else {
-                // Shrink toward the best point.
-                for (std::size_t i = 1; i <= n; ++i) {
-                    const std::size_t idx = order[i];
-                    for (std::size_t d = 0; d < n; ++d)
-                        pts[idx][d] = pts[order[0]][d] +
-                            sigma * (pts[idx][d] - pts[order[0]][d]);
-                    vals[idx] = f(pts[idx]);
-                }
-            }
-        }
-    }
-
-    std::size_t bi = 0;
-    for (std::size_t i = 1; i <= n; ++i)
-        if (vals[i] < vals[bi])
-            bi = i;
-    res.x = pts[bi];
-    res.value = vals[bi];
-    res.converged = res.value <= opts.tolerance;
-    return res;
-}
-
-MinimizeResult
 minimizeMultiStart(const GradFn &f, std::vector<double> x0, int starts,
                    support::Rng &rng, const MinimizeOptions &opts)
 {

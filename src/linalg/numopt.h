@@ -5,8 +5,7 @@
  * The continuous synthesizer minimizes the Hilbert–Schmidt cost of a
  * parameterized ansatz against a target unitary. The cost is smooth in
  * the rotation angles, so first-order methods with analytic gradients
- * (Adam) converge quickly; Nelder–Mead is kept as a derivative-free
- * fallback and for tests.
+ * (Adam) converge quickly.
  */
 
 #pragma once
@@ -48,11 +47,6 @@ struct MinimizeResult
 /** Adam with gradient callbacks and plateau-based early stop. */
 MinimizeResult minimizeAdam(const GradFn &f, std::vector<double> x0,
                             const MinimizeOptions &opts);
-
-/** Derivative-free Nelder–Mead simplex search. */
-MinimizeResult minimizeNelderMead(
-    const std::function<double(const std::vector<double> &)> &f,
-    std::vector<double> x0, const MinimizeOptions &opts);
 
 /**
  * Multi-start Adam: runs Adam from @p starts random restarts in

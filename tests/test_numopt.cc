@@ -84,29 +84,6 @@ TEST(Adam, ReportsBestNotLast)
     EXPECT_NEAR(r.value, best_seen, 1e-12);
 }
 
-TEST(NelderMead, MinimizesQuadraticWithoutGradients)
-{
-    linalg::MinimizeOptions opts;
-    opts.maxIters = 2000;
-    opts.tolerance = 1e-10;
-    const linalg::MinimizeResult r = linalg::minimizeNelderMead(
-        [](const std::vector<double> &x) {
-            return quadratic(x, nullptr);
-        },
-        {4.0, 4.0}, opts);
-    EXPECT_TRUE(r.converged);
-    EXPECT_NEAR(r.x[0], 1.0, 1e-3);
-    EXPECT_NEAR(r.x[1], -2.0, 1e-3);
-}
-
-TEST(NelderMead, HandlesEmptyParameterVector)
-{
-    linalg::MinimizeOptions opts;
-    const linalg::MinimizeResult r = linalg::minimizeNelderMead(
-        [](const std::vector<double> &) { return 0.5; }, {}, opts);
-    EXPECT_NEAR(r.value, 0.5, 1e-12);
-}
-
 TEST(MultiStart, EscapesBadStart)
 {
     // f has a broad spurious plateau at x>3 and the true minimum near
