@@ -3,8 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "support/logging.h"
-
 namespace guoq {
 namespace qasm {
 
@@ -91,16 +89,16 @@ toQasm(const ir::Circuit &c, Dialect dialect)
     return os.str();
 }
 
-void
+std::string
 writeQasmFile(const ir::Circuit &c, const std::string &path,
               Dialect dialect)
 {
     std::ofstream out(path);
-    if (!out)
-        support::fatal("writeQasmFile: cannot open " + path);
-    out << toQasm(c, dialect);
-    if (!out)
-        support::fatal("writeQasmFile: write failed for " + path);
+    if (out) {
+        out << toQasm(c, dialect);
+        out.close();
+    }
+    return out ? "" : "cannot write " + path;
 }
 
 } // namespace qasm

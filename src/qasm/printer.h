@@ -26,8 +26,10 @@ namespace qasm {
 std::string toQasm(const ir::Circuit &c,
                    Dialect dialect = Dialect::Qasm2);
 
-/** Write toQasm(c, dialect) to @p path; fatal() on I/O failure. */
-void writeQasmFile(const ir::Circuit &c, const std::string &path,
+/** Write toQasm(c, dialect) to @p path. Returns "" on success, else
+ *  "cannot write <path>"; the check runs after close(), so a full
+ *  device is reported rather than lost in the stream's destructor. */
+[[nodiscard]] std::string writeQasmFile(const ir::Circuit &c, const std::string &path,
                    Dialect dialect = Dialect::Qasm2);
 
 } // namespace qasm

@@ -4,10 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -40,12 +38,12 @@ outputDialect(const Config &cfg, qasm::Dialect in)
 
 /** An error entry for a framing failure: located on the serve input
  *  stream (entry.line is the input line, col has no meaning). */
-bench::BatchFileEntry
+BatchFileEntry
 frameErrorEntry(const FrameError &err, const Config &cfg)
 {
-    bench::BatchFileEntry e;
+    BatchFileEntry e;
     e.file = err.id;
-    e.status = "frame_error";
+    e.status = Status::FrameError;
     e.algorithm = cfg.algorithm;
     e.line = err.line;
     e.col = 0;
@@ -59,16 +57,16 @@ struct Row
     std::string json;
     bool ok = false;      //!< code 0
     std::string id;       //!< progress-line context
-    std::string status;
+    Status status = Status::Ok;
     double seconds = 0;
 };
 
 Row
-rowFor(const bench::BatchFileEntry &entry, const std::string &qasm)
+rowFor(const BatchFileEntry &entry, const std::string &qasm)
 {
     Row row;
-    row.json = bench::toServeRowJson(entry, qasm);
-    row.ok = bench::serveRowCode(entry.status) == 0;
+    row.json = toServeRowJson(entry, qasm);
+    row.ok = statusCode(entry.status) == 0;
     row.id = entry.file;
     row.status = entry.status;
     row.seconds = entry.seconds;
@@ -100,20 +98,19 @@ isUnder(const fs::path &p, const fs::path &canonRoot)
 } // namespace
 
 Outcome
-processSource(const std::string &id, const std::string &source,
+processParsed(const std::string &id, const qasm::ParseResult &pr,
               const Config &cfg, const std::uint64_t *seedOverride,
               const double *deadlineMsOverride)
 {
     const auto t0 = std::chrono::steady_clock::now();
     Outcome o;
-    bench::BatchFileEntry &e = o.entry;
+    BatchFileEntry &e = o.entry;
     e.file = id;
     e.algorithm = cfg.algorithm;
-
-    qasm::ParseResult pr = qasm::parseSource(source, cfg.inDialect, id);
     e.dialect = qasm::dialectName(pr.dialect);
+    o.dialect = pr.dialect;
     if (!pr.ok) {
-        e.status = "parse_error";
+        e.status = Status::ParseError;
         e.line = pr.error.line;
         e.col = pr.error.col;
         e.message = pr.error.message;
@@ -122,7 +119,6 @@ processSource(const std::string &id, const std::string &source,
     }
 
     const ir::Circuit &input = pr.circuit;
-    o.dialect = pr.dialect;
     e.qubits = input.numQubits();
     e.gatesBefore = input.size();
     e.twoQubitBefore = input.twoQubitGateCount();
@@ -130,18 +126,19 @@ processSource(const std::string &id, const std::string &source,
     core::OptimizeRequest req = cfg.base;
     if (seedOverride)
         req.seed = *seedOverride;
-    // Per-request observation: the server-wide shutdown token (so a
-    // drain cancels in-flight searches cooperatively) plus this
-    // request's own deadline, both riding the observer-hook path every
-    // search loop already polls.
-    req.hooks = core::ObserverHooks();
-    req.hooks.cancel = cfg.shutdown;
+    // Per-request observation: the driver's hooks plus the server-wide
+    // shutdown token (so a drain cancels in-flight searches
+    // cooperatively) and this request's own deadline, all riding the
+    // observer-hook path every search loop already polls.
+    if (cfg.shutdown)
+        req.hooks.cancel = cfg.shutdown;
     const double deadlineMs =
         deadlineMsOverride ? *deadlineMsOverride : cfg.deadlineMs;
     if (deadlineMs > 0)
         req.hooks.setDeadlineIn(deadlineMs / 1000.0);
 
-    const core::OptimizeReport result = cfg.optimizer->run(input, req);
+    o.report = cfg.optimizer->run(input, req);
+    const core::OptimizeReport &result = o.report;
     e.gatesAfter = result.circuit.size();
     e.twoQubitAfter = result.circuit.twoQubitGateCount();
     e.errorBound = result.errorBound;
@@ -156,41 +153,41 @@ processSource(const std::string &id, const std::string &source,
         e.message = support::strcat("deadline of ", deadlineMs,
                                     " ms expired; best-so-far result");
 
-    bool verify_skipped = false;
+    e.status = Status::Ok;
     if (cfg.verify) {
         verify::VerifyRequest vreq = cfg.verifyBase;
         vreq.seed = req.seed;
         const std::string err =
             cfg.checker->checkRequest(input, result.circuit, vreq);
         if (!err.empty()) {
-            verify_skipped = true;
+            e.status = Status::VerifySkipped;
             e.message = "verify skipped: " + err;
         } else {
-            const verify::VerifyReport vr =
-                cfg.checker->run(input, result.circuit, vreq);
-            e.verified = true;
-            e.verifyMethod = vr.method;
-            e.verifyDistance = vr.distanceEstimate;
-            e.verifyBound = vr.bound;
-            e.verifyConfidence = vr.confidence;
-            e.verifyShots = vr.shots;
-            e.verifyVerdict = verify::verdictName(vr.verdict);
+            e.verify = cfg.checker->run(input, result.circuit, vreq);
+            o.report.verification = e.verify;
+            const verify::VerifyReport &vr = e.verify;
             if (vr.verdict == verify::Verdict::Inequivalent) {
-                e.status = "verify_failed";
+                e.status = Status::VerifyFailed;
                 e.message = support::strcat(
                     "verification failed: HS distance ",
                     vr.distanceEstimate, " (", vr.method, ", bound ",
                     vr.bound, ") exceeds budget ", cfg.base.epsilonTotal);
-                e.seconds = secondsSince(t0);
-                return o;
             }
         }
     }
-
-    e.status = verify_skipped ? "verify_skipped" : "ok";
-    o.haveCircuit = true;
-    o.circuit = result.circuit;
     e.seconds = secondsSince(t0);
+    return o;
+}
+
+Outcome
+processSource(const std::string &id, const std::string &source,
+              const Config &cfg, const std::uint64_t *seedOverride,
+              const double *deadlineMsOverride)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    Outcome o = processParsed(id, qasm::parseSource(source, cfg.inDialect, id),
+                              cfg, seedOverride, deadlineMsOverride);
+    o.entry.seconds = secondsSince(t0);
     return o;
 }
 
@@ -202,7 +199,7 @@ runServe(std::istream &in, std::ostream &out, const Config &cfg)
     struct Item
     {
         Frame frame;
-        bench::BatchFileEntry preError;
+        BatchFileEntry preError;
         bool bad = false;
     };
 
@@ -227,7 +224,7 @@ runServe(std::istream &in, std::ostream &out, const Config &cfg)
                 std::fprintf(stderr,
                              "guoq_cli: [%zu] %s: %s (%.2fs)\n",
                              stats.rows, row.id.c_str(),
-                             row.status.c_str(), row.seconds);
+                             statusName(row.status), row.seconds);
             }
             credits.release();
         }
@@ -250,8 +247,8 @@ runServe(std::istream &in, std::ostream &out, const Config &cfg)
                         f.hasDeadline ? &f.deadlineMs : nullptr);
                     row = rowFor(
                         o.entry,
-                        o.haveCircuit
-                            ? qasm::toQasm(o.circuit,
+                        o.haveCircuit()
+                            ? qasm::toQasm(o.report.circuit,
                                            outputDialect(cfg, o.dialect))
                             : "");
                 }
@@ -308,7 +305,7 @@ runBatch(const std::string &rootDir, const std::string &outDir,
     BatchResult result;
     Credits credits(cfg.capacity);
     BoundedQueue<fs::path> workQ(cfg.capacity);
-    BoundedQueue<bench::BatchFileEntry> doneQ(cfg.capacity);
+    BoundedQueue<BatchFileEntry> doneQ(cfg.capacity);
 
     // The collector is the batch pipeline's "writer": it owns the
     // entries vector and the per-file progress lines (one thread, one
@@ -316,13 +313,13 @@ runBatch(const std::string &rootDir, const std::string &outDir,
     // jobs can no longer interleave mid-line), and returns each
     // file's credit once its entry is recorded.
     std::thread collector([&] {
-        bench::BatchFileEntry e;
+        BatchFileEntry e;
         std::size_t done = 0;
         while (doneQ.pop(e)) {
             ++done;
             if (!cfg.quiet) {
                 support::MutexLock lock(support::logMutex());
-                if (e.status == "ok")
+                if (e.status == Status::Ok)
                     std::fprintf(stderr,
                                  "guoq_cli: [%zu] %s: ok (%zu -> %zu "
                                  "gates, %.2fs)\n",
@@ -331,7 +328,7 @@ runBatch(const std::string &rootDir, const std::string &outDir,
                 else
                     std::fprintf(stderr,
                                  "guoq_cli: [%zu] %s: %s (%s)\n", done,
-                                 e.file.c_str(), e.status.c_str(),
+                                 e.file.c_str(), statusName(e.status),
                                  e.message.c_str());
             }
             result.entries.push_back(std::move(e));
@@ -347,49 +344,22 @@ runBatch(const std::string &rootDir, const std::string &outDir,
             while (workQ.pop(in)) {
                 const auto t0 = std::chrono::steady_clock::now();
                 const fs::path rel = in.lexically_relative(root);
-                const std::string id = rel.generic_string();
-
-                std::ifstream src(in);
-                bench::BatchFileEntry e;
-                Outcome o;
-                if (!src) {
-                    // Mirror qasm::parseSourceFile's unreadable-file
-                    // diagnostic (no position applies).
-                    e.file = id;
-                    e.status = "parse_error";
-                    e.dialect = qasm::dialectName(
-                        cfg.inDialect == qasm::Dialect::Auto
-                            ? qasm::Dialect::Qasm2
-                            : cfg.inDialect);
-                    e.algorithm = cfg.algorithm;
-                    e.message = "cannot open file";
-                } else {
-                    std::ostringstream buf;
-                    buf << src.rdbuf();
-                    o = processSource(id, buf.str(), cfg);
-                    e = o.entry;
-                }
-
-                if (o.haveCircuit) {
+                Outcome o = processParsed(
+                    rel.generic_string(),
+                    qasm::parseSourceFile(in.string(), cfg.inDialect), cfg);
+                BatchFileEntry &e = o.entry;
+                if (o.haveCircuit()) {
                     const fs::path outPath = outRoot / rel;
                     std::error_code ec;
                     fs::create_directories(outPath.parent_path(), ec);
-                    std::ofstream dst(outPath);
-                    if (dst) {
-                        dst << qasm::toQasm(
-                            o.circuit, outputDialect(cfg, o.dialect));
-                        // close() forces the flush so a full disk
-                        // surfaces here, not in the destructor where
-                        // the failure would be invisible.
-                        dst.close();
-                    }
-                    if (!dst) {
-                        e.status = "write_error";
-                        e.message =
-                            "cannot write " + outPath.generic_string();
-                        e.output.clear();
-                    } else {
+                    const std::string err = qasm::writeQasmFile(
+                        o.report.circuit, outPath.generic_string(),
+                        outputDialect(cfg, o.dialect));
+                    if (err.empty()) {
                         e.output = outPath.generic_string();
+                    } else {
+                        e.status = Status::WriteError;
+                        e.message = err;
                     }
                 }
                 e.seconds = secondsSince(t0);
@@ -434,8 +404,8 @@ runBatch(const std::string &rootDir, const std::string &outDir,
     // summary contract (docs/FORMATS.md) is one entry per file sorted
     // by path.
     std::sort(result.entries.begin(), result.entries.end(),
-              [](const bench::BatchFileEntry &a,
-                 const bench::BatchFileEntry &b) {
+              [](const BatchFileEntry &a,
+                 const BatchFileEntry &b) {
                   return a.file < b.file;
               });
     return result;

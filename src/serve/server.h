@@ -8,7 +8,8 @@
  * (serve/framing.h), optimizes each through the core::Optimizer
  * registry (and so through the shared synth::SynthService cache the
  * process keeps warm across requests), and streams one
- * `guoq-serve-row-v1` JSON line per request as it finishes. Batch
+ * `guoq-serve-row-v1` JSON line per request as it finishes (row
+ * schema: serve/rows.h). Batch
  * mode runs the identical pipeline with "reader = directory walker":
  * files enter the flow as they are discovered instead of after a
  * load-everything-first pass, workers write the mirrored output tree,
@@ -36,13 +37,13 @@
 #include <string>
 #include <vector>
 
-#include "bench/emit.h"
 #include "core/observer.h"
 #include "core/optimizer.h"
-#include "ir/circuit.h"
 #include "ir/gate_set.h"
 #include "qasm/dialect.h"
+#include "qasm/parser.h"
 #include "serve/framing.h"
+#include "serve/rows.h"
 #include "verify/checker.h"
 
 namespace guoq {
@@ -59,8 +60,9 @@ struct Config
     std::string algorithm = "guoq"; //!< registry name (stamped on rows)
     const core::Optimizer *optimizer = nullptr; //!< resolved, non-null
 
-    /** Circuit-independent request template. Per-request copies get
-     *  their own seed/hooks; `base.hooks` itself is ignored. */
+    /** Circuit-independent request template. Per-request copies keep
+     *  `base.hooks` (e.g. a progress callback) and overlay the
+     *  shutdown token, their own seed and their own deadline. */
     core::OptimizeRequest base;
 
     bool verify = false;
@@ -83,19 +85,35 @@ struct Config
 /** One request processed end to end (parse → optimize → verify). */
 struct Outcome
 {
-    bench::BatchFileEntry entry;
-    bool haveCircuit = false; //!< circuit/dialect below are valid
-    ir::Circuit circuit;      //!< the optimized result
+    BatchFileEntry entry;
+    /** The optimizer's report: the circuit, stats and workers, plus
+     *  the check in `verification` when one ran. */
+    core::OptimizeReport report;
     qasm::Dialect dialect = qasm::Dialect::Qasm2; //!< input's dialect
+
+    /** True when `report.circuit` is a result to emit (ok-shaped). */
+    bool
+    haveCircuit() const
+    {
+        return isOkShaped(entry.status);
+    }
 };
 
 /**
- * The shared per-request worker body: parse @p source (labelled @p id
- * in diagnostics), optimize through cfg.optimizer, verify when asked.
- * Never throws or aborts — every failure mode is a status in the
- * entry. @p seedOverride / @p deadlineMsOverride are the frame's
- * per-request settings (null = the config's).
+ * The shared per-request worker body of all three CLI modes: optimize
+ * the parsed input @p pr (labelled @p id) through cfg.optimizer and
+ * verify it when asked. Never throws or aborts — every failure mode,
+ * a parse error in @p pr included, is a status in the entry.
+ * @p seedOverride / @p deadlineMsOverride are the request's own
+ * settings (null = the config's).
  */
+Outcome processParsed(const std::string &id, const qasm::ParseResult &pr,
+                      const Config &cfg,
+                      const std::uint64_t *seedOverride = nullptr,
+                      const double *deadlineMsOverride = nullptr);
+
+/** Parse @p source with cfg.inDialect, then processParsed(); the
+ *  entry's `seconds` covers the parse too. */
 Outcome processSource(const std::string &id, const std::string &source,
                       const Config &cfg,
                       const std::uint64_t *seedOverride = nullptr,
@@ -127,7 +145,7 @@ ServeStats runServe(std::istream &in, std::ostream &out,
 struct BatchResult
 {
     /** One entry per discovered file, sorted by path. */
-    std::vector<bench::BatchFileEntry> entries;
+    std::vector<BatchFileEntry> entries;
     std::size_t peakInFlight = 0; //!< credit high-water mark
     bool scanOk = true;           //!< directory walk completed
     std::string scanError;        //!< iff !scanOk

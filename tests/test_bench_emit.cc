@@ -15,6 +15,7 @@
 #include "bench/emit.h"
 #include "bench/harness.h"
 #include "bench/registry.h"
+#include "support/json.h"
 
 namespace guoq {
 namespace {
@@ -287,9 +288,9 @@ TEST(BenchEmit, CsvRoundTripsThroughRfc4180Parser)
 
 TEST(BenchEmit, EscapingHelpers)
 {
-    EXPECT_EQ(bench::jsonEscape("a\"b\\c\nd\te"),
+    EXPECT_EQ(support::jsonEscape("a\"b\\c\nd\te"),
               "a\\\"b\\\\c\\nd\\te");
-    EXPECT_EQ(bench::jsonEscape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(support::jsonEscape(std::string(1, '\x01')), "\\u0001");
     EXPECT_EQ(bench::csvField("plain"), "plain");
     EXPECT_EQ(bench::csvField("a,b"), "\"a,b\"");
     EXPECT_EQ(bench::csvField("a\"b"), "\"a\"\"b\"");

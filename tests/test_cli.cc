@@ -196,5 +196,47 @@ TEST_F(CliTest, ProgressStreamsBestCostToStderr)
     EXPECT_EQ(r.out.rfind("OPENQASM 2.0;", 0), 0u);
 }
 
+// --- write failures exit 1 in every mode -----------------------------
+
+class CliWriteFailureTest : public CliTest
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!fs::exists("/dev/full"))
+            GTEST_SKIP() << "no /dev/full on this system";
+        CliTest::SetUp();
+    }
+};
+
+TEST_F(CliWriteFailureTest, OutFileOnFullDevice)
+{
+    const Result r = run("--in '" + (kExamples / "bell_pair.qasm").string() +
+                         "' --iterations 50 --out /dev/full");
+    EXPECT_EQ(r.status, 1);
+    EXPECT_NE(r.err.find("cannot write"), std::string::npos) << r.err;
+}
+
+TEST_F(CliWriteFailureTest, StdoutOnFullDevice)
+{
+    const Result r = run("--in '" + (kExamples / "bell_pair.qasm").string() +
+                             "' --iterations 50 --out -",
+                         "/dev/full");
+    EXPECT_EQ(r.status, 1);
+    EXPECT_NE(r.err.find("cannot write"), std::string::npos) << r.err;
+}
+
+TEST_F(CliWriteFailureTest, BatchSummaryToStdoutOnFullDevice)
+{
+    const fs::path root = batchRoot(/*withBroken=*/false);
+    const Result r = run("--batch '" + root.string() + "' --out-dir '" +
+                             (dir_ / "out").string() +
+                             "' --iterations 50 --keep-going --summary -",
+                         "/dev/full");
+    EXPECT_EQ(r.status, 1);
+    EXPECT_NE(r.err.find("cannot write"), std::string::npos) << r.err;
+}
+
 } // namespace
 } // namespace guoq

@@ -28,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench/emit.h"
 #include "core/observer.h"
 #include "core/optimizer.h"
 #include "serve/framing.h"
@@ -397,8 +396,8 @@ TEST(Serve, ShutdownCancelsInFlightSearchButStillEmitsItsRow)
     // directly with the token preset.
     const serve::Outcome o = serve::processSource(
         "cancelled-inflight", kSmallQasm, cfg);
-    EXPECT_EQ(o.entry.status, "ok"); // best-so-far, cooperatively
-    EXPECT_TRUE(o.haveCircuit);
+    EXPECT_EQ(o.entry.status, serve::Status::Ok); // best-so-far, cooperatively
+    EXPECT_TRUE(o.haveCircuit());
     EXPECT_LE(o.entry.gatesAfter, o.entry.gatesBefore);
 }
 
@@ -413,7 +412,7 @@ TEST(Serve, PerRequestDeadlineStopsTheSearchWithBestSoFar)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
-    EXPECT_EQ(o.entry.status, "ok");
+    EXPECT_EQ(o.entry.status, serve::Status::Ok);
     EXPECT_NE(o.entry.message.find("deadline"), std::string::npos);
     EXPECT_LT(elapsed, 10.0); // cooperative stop, not the 1e6s budget
 }
@@ -454,7 +453,7 @@ TEST(Serve, RowsMatchBatchRunByteForByteAtFixedSeed)
 
     // Serve leg: the same bytes framed over a stream.
     std::ostringstream stream;
-    for (const bench::BatchFileEntry &e : batch.entries) {
+    for (const serve::BatchFileEntry &e : batch.entries) {
         std::ifstream src(in_dir / e.file);
         ASSERT_TRUE(src.good()) << e.file;
         std::ostringstream bytes;
@@ -476,7 +475,7 @@ TEST(Serve, RowsMatchBatchRunByteForByteAtFixedSeed)
     ASSERT_EQ(serveRows.size(), batch.entries.size());
 
     int broken_rows = 0;
-    for (const bench::BatchFileEntry &entry : batch.entries) {
+    for (const serve::BatchFileEntry &entry : batch.entries) {
         // The expected serve row is the batch entry itself rendered
         // through the same emitter, with the optimized bytes the batch
         // leg wrote to disk inlined — so agreement here means the two
@@ -492,12 +491,12 @@ TEST(Serve, RowsMatchBatchRunByteForByteAtFixedSeed)
         }
         ASSERT_TRUE(serveRows.count(entry.file)) << entry.file;
         EXPECT_EQ(stripSeconds(serveRows[entry.file]),
-                  stripSeconds(bench::toServeRowJson(entry, qasm)))
+                  stripSeconds(serve::toServeRowJson(entry, qasm)))
             << entry.file;
         if (entry.file == "broken.qasm") {
             ++broken_rows;
-            EXPECT_EQ(entry.status, "parse_error");
-            EXPECT_EQ(bench::serveRowCode(entry.status), 1);
+            EXPECT_EQ(entry.status, serve::Status::ParseError);
+            EXPECT_EQ(serve::statusCode(entry.status), 1);
             EXPECT_EQ(entry.line, 3); // located, not just flagged
         }
     }

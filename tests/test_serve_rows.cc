@@ -11,7 +11,8 @@
 
 #include <string>
 
-#include "bench/emit.h"
+#include "serve/rows.h"
+#include "verify/checker.h"
 
 namespace guoq {
 namespace {
@@ -20,12 +21,12 @@ namespace {
 
 /** An ok row: circuit fields, the verify block and the inline QASM.
  *  `output` is set to show that serve rows never carry it. */
-bench::BatchFileEntry
+serve::BatchFileEntry
 okRow()
 {
-    bench::BatchFileEntry e;
+    serve::BatchFileEntry e;
     e.file = "bell.qasm";
-    e.status = "ok";
+    e.status = serve::Status::Ok;
     e.dialect = "qasm2";
     e.algorithm = "guoq";
     e.output = "suite-opt/bell.qasm";
@@ -40,13 +41,12 @@ okRow()
     e.synthCacheStores = 1;
     e.poolQueuePeak = 2;
     e.seconds = 0.5;
-    e.verified = true;
-    e.verifyMethod = "dense";
-    e.verifyDistance = 1.5e-08;
-    e.verifyBound = 0;
-    e.verifyConfidence = 1;
-    e.verifyShots = 0;
-    e.verifyVerdict = "equivalent";
+    e.verify.method = "dense";
+    e.verify.distanceEstimate = 1.5e-08;
+    e.verify.bound = 0;
+    e.verify.confidence = 1;
+    e.verify.shots = 0;
+    e.verify.verdict = verify::Verdict::Equivalent;
     return e;
 }
 
@@ -68,14 +68,14 @@ TEST(ServeRow, OkRowWithVerifyBlockGolden)
         "\"shots\": 0, \"verdict\": \"equivalent\"}, \"seconds\": 0.5, "
         "\"qasm\": \"OPENQASM 2.0;\\ninclude \\\"qelib1.inc\\\";\\n"
         "qreg q[2];\\ncx q[0], q[1];\\n\"}";
-    EXPECT_EQ(bench::toServeRowJson(okRow(), qasm), expected);
+    EXPECT_EQ(serve::toServeRowJson(okRow(), qasm), expected);
 }
 
 TEST(ServeRow, VerifySkippedRowGolden)
 {
-    bench::BatchFileEntry e;
+    serve::BatchFileEntry e;
     e.file = "wide";
-    e.status = "verify_skipped";
+    e.status = serve::Status::VerifySkipped;
     e.dialect = "qasm3";
     e.algorithm = "guoq";
     e.qubits = 30;
@@ -97,14 +97,14 @@ TEST(ServeRow, VerifySkippedRowGolden)
         "\"pool_queue_peak\": 0, \"message\": \"verify skipped: 30 "
         "qubits exceed the sampling cap\", \"seconds\": 0.25, "
         "\"qasm\": \"OPENQASM 3.0;\\n\"}";
-    EXPECT_EQ(bench::toServeRowJson(e, "OPENQASM 3.0;\n"), expected);
+    EXPECT_EQ(serve::toServeRowJson(e, "OPENQASM 3.0;\n"), expected);
 }
 
 TEST(ServeRow, ParseErrorRowGolden)
 {
-    bench::BatchFileEntry e;
+    serve::BatchFileEntry e;
     e.file = "sub/broken.qasm";
-    e.status = "parse_error";
+    e.status = serve::Status::ParseError;
     e.dialect = "qasm2";
     e.algorithm = "guoq";
     e.line = 3;
@@ -117,16 +117,16 @@ TEST(ServeRow, ParseErrorRowGolden)
         "\"algorithm\": \"guoq\", \"line\": 3, \"col\": 7, "
         "\"message\": \"unknown gate 'frob\\\"nicate'\", "
         "\"seconds\": 0.001}";
-    EXPECT_EQ(bench::toServeRowJson(e, ""), expected);
+    EXPECT_EQ(serve::toServeRowJson(e, ""), expected);
 }
 
 TEST(ServeRow, VerifyFailedRowKeepsItsVerifyBlock)
 {
-    bench::BatchFileEntry e = okRow();
-    e.status = "verify_failed";
+    serve::BatchFileEntry e = okRow();
+    e.status = serve::Status::VerifyFailed;
     e.message = "verification failed";
-    e.verifyDistance = 0.5;
-    e.verifyVerdict = "inequivalent";
+    e.verify.distanceEstimate = 0.5;
+    e.verify.verdict = verify::Verdict::Inequivalent;
     const std::string expected =
         "{\"schema\": \"guoq-serve-row-v1\", \"id\": \"bell.qasm\", "
         "\"status\": \"verify_failed\", \"code\": 2, "
@@ -135,14 +135,14 @@ TEST(ServeRow, VerifyFailedRowKeepsItsVerifyBlock)
         "\"verify\": {\"method\": \"dense\", \"distance\": 0.5, "
         "\"bound\": 0, \"confidence\": 1, \"shots\": 0, "
         "\"verdict\": \"inequivalent\"}, \"seconds\": 0.5}";
-    EXPECT_EQ(bench::toServeRowJson(e, "ignored"), expected);
+    EXPECT_EQ(serve::toServeRowJson(e, "ignored"), expected);
 }
 
 TEST(ServeRow, FrameErrorRowGolden)
 {
-    bench::BatchFileEntry e;
+    serve::BatchFileEntry e;
     e.file = "req-7";
-    e.status = "frame_error";
+    e.status = serve::Status::FrameError;
     e.algorithm = "guoq";
     e.line = 12;
     e.message = "expected 'payload <bytes>'\tgot\x01";
@@ -152,14 +152,14 @@ TEST(ServeRow, FrameErrorRowGolden)
         "\"algorithm\": \"guoq\", \"line\": 12, \"col\": 0, "
         "\"message\": \"expected 'payload <bytes>'\\tgot\\u0001\", "
         "\"seconds\": 0}";
-    EXPECT_EQ(bench::toServeRowJson(e, ""), expected);
+    EXPECT_EQ(serve::toServeRowJson(e, ""), expected);
 }
 
 // --- guoq-batch-v1 ---------------------------------------------------
 
 TEST(BatchEmit, JsonGolden)
 {
-    bench::BatchRunMeta meta;
+    serve::BatchRunMeta meta;
     meta.inputDir = "suite";
     meta.outputDir = "suite-opt";
     meta.gateSet = "nam";
@@ -171,9 +171,9 @@ TEST(BatchEmit, JsonGolden)
     meta.jobs = 2;
     meta.seed = 7;
 
-    bench::BatchFileEntry ok;
+    serve::BatchFileEntry ok;
     ok.file = "bell.qasm";
-    ok.status = "ok";
+    ok.status = serve::Status::Ok;
     ok.dialect = "qasm2";
     ok.algorithm = "guoq";
     ok.output = "suite-opt/bell.qasm";
@@ -184,17 +184,16 @@ TEST(BatchEmit, JsonGolden)
     ok.twoQubitAfter = 1;
     ok.errorBound = 0;
     ok.seconds = 0.5;
-    ok.verified = true;
-    ok.verifyMethod = "dense";
-    ok.verifyDistance = 1.5e-08;
-    ok.verifyBound = 0;
-    ok.verifyConfidence = 1;
-    ok.verifyShots = 0;
-    ok.verifyVerdict = "equivalent";
+    ok.verify.method = "dense";
+    ok.verify.distanceEstimate = 1.5e-08;
+    ok.verify.bound = 0;
+    ok.verify.confidence = 1;
+    ok.verify.shots = 0;
+    ok.verify.verdict = verify::Verdict::Equivalent;
 
-    bench::BatchFileEntry bad;
+    serve::BatchFileEntry bad;
     bad.file = "sub/broken.qasm";
-    bad.status = "parse_error";
+    bad.status = serve::Status::ParseError;
     bad.dialect = "qasm3";
     bad.algorithm = "guoq";
     bad.line = 3;
@@ -202,9 +201,9 @@ TEST(BatchEmit, JsonGolden)
     bad.message = "unknown gate 'frob\"nicate'";
     bad.seconds = 0;
 
-    bench::BatchFileEntry skip;
+    serve::BatchFileEntry skip;
     skip.file = "wide.qasm";
-    skip.status = "verify_skipped";
+    skip.status = serve::Status::VerifySkipped;
     skip.dialect = "qasm2";
     skip.algorithm = "guoq";
     skip.output = "suite-opt/wide.qasm";
@@ -297,13 +296,13 @@ TEST(BatchEmit, JsonGolden)
         "    }\n"
         "  ]\n"
         "}\n";
-    EXPECT_EQ(bench::toBatchJson(meta, {ok, bad, skip}), expected);
+    EXPECT_EQ(serve::toBatchJson(meta, {ok, bad, skip}), expected);
 }
 
 TEST(BatchEmit, EmptyRunStillParses)
 {
-    bench::BatchRunMeta meta;
-    const std::string doc = bench::toBatchJson(meta, {});
+    serve::BatchRunMeta meta;
+    const std::string doc = serve::toBatchJson(meta, {});
     EXPECT_NE(doc.find("\"files\": []"), std::string::npos);
     EXPECT_NE(doc.find("\"ok\": 0"), std::string::npos);
     EXPECT_NE(doc.find("\"failed\": 0"), std::string::npos);

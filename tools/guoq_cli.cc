@@ -34,11 +34,13 @@
  * (--capacity), per-request deadlines are cooperative, and EOF or
  * SIGTERM/SIGINT drains in-flight requests before exit. Batch mode
  * rides the same pipeline (src/serve/), so files start optimizing as
- * the directory walk discovers them.
+ * the directory walk discovers them, and single-file mode runs the
+ * same per-request body (serve::processParsed).
  *
- * Exit codes: 0 success; 1 runtime failure (parse/verify errors, or a
- * batch with failed files unless --keep-going); 2 usage errors. The
- * full CLI contract lives in README.md and docs/FORMATS.md.
+ * Exit codes: 0 success; 1 runtime failure (parse/verify errors, an
+ * output that could not be written, or a batch with failed files
+ * unless --keep-going); 2 usage errors. The full CLI contract lives in
+ * README.md and docs/FORMATS.md.
  */
 
 #include <atomic>
@@ -54,7 +56,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/emit.h"
 #include "core/observer.h"
 #include "core/optimizer.h"
 #include "core/portfolio.h"
@@ -250,6 +251,17 @@ readAll(std::istream &in)
     return out.str();
 }
 
+/** Write @p text to stdout and flush it: "" once the bytes reached
+ *  the device, else the error (like qasm::writeQasmFile). */
+std::string
+writeStdout(const std::string &text)
+{
+    std::fputs(text.c_str(), stdout);
+    return std::fflush(stdout) == 0 && !std::ferror(stdout)
+               ? ""
+               : "cannot write to stdout";
+}
+
 /** Everything the flag parser produces. */
 struct CliOptions
 {
@@ -401,7 +413,7 @@ runBatch(const CliOptions &opt)
              result.scanError);
     if (result.entries.empty())
         die("--batch: no .qasm files under " + opt.batchDir);
-    const std::vector<bench::BatchFileEntry> &entries = result.entries;
+    const std::vector<serve::BatchFileEntry> &entries = result.entries;
 
     // Per-file status table (stderr keeps a batch's stdout clean for
     // the optional `--summary -` JSON stream).
@@ -409,24 +421,23 @@ runBatch(const CliOptions &opt)
     if (!opt.quiet) {
         support::TextTable table({"file", "status", "qubits", "gates",
                                   "2q", "verify", "seconds", "detail"});
-        for (const bench::BatchFileEntry &e : entries) {
+        for (const serve::BatchFileEntry &e : entries) {
             std::string detail = e.message;
             if (e.line > 0)
                 detail = support::strcat(e.line, ":", e.col, ": ",
                                          e.message);
-            const bool optimized =
-                e.status == "ok" || e.status == "verify_skipped";
+            const bool optimized = serve::isOkShaped(e.status);
             std::string verify_cell;
-            if (e.verified)
+            if (!e.verify.method.empty())
                 verify_cell = support::strcat(
-                    e.verifyMethod, " ",
-                    support::fmt(e.verifyDistance, 3),
-                    e.verifyBound > 0
+                    e.verify.method, " ",
+                    support::fmt(e.verify.distanceEstimate, 3),
+                    e.verify.bound > 0
                         ? support::strcat(
-                              " +/- ", support::fmt(e.verifyBound, 3))
+                              " +/- ", support::fmt(e.verify.bound, 3))
                         : "");
             table.addRow(
-                {e.file, e.status,
+                {e.file, serve::statusName(e.status),
                  optimized ? std::to_string(e.qubits) : "",
                  optimized ? support::strcat(e.gatesBefore, " -> ",
                                              e.gatesAfter)
@@ -438,10 +449,9 @@ runBatch(const CliOptions &opt)
         }
         std::fputs(table.render().c_str(), stderr);
     }
-    for (const bench::BatchFileEntry &e : entries) {
-        failed +=
-            e.status == "ok" || e.status == "verify_skipped" ? 0 : 1;
-        skipped += e.status == "verify_skipped" ? 1 : 0;
+    for (const serve::BatchFileEntry &e : entries) {
+        failed += serve::isOkShaped(e.status) ? 0 : 1;
+        skipped += e.status == serve::Status::VerifySkipped ? 1 : 0;
     }
     // A skipped check is survivable but must be loud: the result was
     // written without its --verify guarantee.
@@ -451,7 +461,7 @@ runBatch(const CliOptions &opt)
                      "file(s); see the per-file messages\n",
                      skipped);
 
-    bench::BatchRunMeta meta;
+    serve::BatchRunMeta meta;
     meta.inputDir = root.generic_string();
     meta.outputDir = outRoot.generic_string();
     meta.gateSet = ir::gateSetName(opt.set);
@@ -466,7 +476,7 @@ runBatch(const CliOptions &opt)
     meta.synthCacheDir = opt.synthCacheDir;
     if (!opt.quiet && !opt.synthCacheDir.empty()) {
         long hits = 0, misses = 0, stores = 0;
-        for (const bench::BatchFileEntry &e : entries) {
+        for (const serve::BatchFileEntry &e : entries) {
             hits += e.synthCacheHits;
             misses += e.synthCacheMisses;
             stores += e.synthCacheStores;
@@ -476,13 +486,14 @@ runBatch(const CliOptions &opt)
                      "miss(es), %ld store(s)\n",
                      hits, misses, stores);
     }
-    const std::string json = bench::toBatchJson(meta, entries);
+    const std::string json = serve::toBatchJson(meta, entries);
     const std::string summaryPath =
         opt.summaryPath.empty()
             ? (outRoot / "summary.json").generic_string()
             : opt.summaryPath;
     if (summaryPath == "-") {
-        std::fputs(json.c_str(), stdout);
+        if (const std::string err = writeStdout(json); !err.empty())
+            fail(err);
     } else {
         fs::create_directories(
             fs::path(summaryPath).parent_path(), ec);
@@ -577,7 +588,7 @@ runServe(const CliOptions &opt)
 int
 runSingle(const CliOptions &opt)
 {
-    qasm::ParseResult pr =
+    const qasm::ParseResult pr =
         opt.inPath == "-"
             ? qasm::parseSource(readAll(std::cin), opt.inDialect,
                                 "<stdin>")
@@ -613,22 +624,20 @@ runSingle(const CliOptions &opt)
                      opt.cfg.base.epsilonTotal,
                      opt.cfg.base.timeBudgetSeconds, opt.cfg.threads);
 
-    core::OptimizeRequest req = opt.request();
+    // The optimize → verify body batch and serve run too.
+    serve::Config cfg = makeConfig(opt);
     if (opt.progress)
-        req.hooks.onBest = [](const core::ProgressEvent &ev) {
-            if (ev.worker >= 0)
-                std::fprintf(stderr,
-                             "guoq_cli: t=%.3fs best cost %g (%zu "
-                             "gates, worker %d)\n",
-                             ev.seconds, ev.cost, ev.gateCount,
-                             ev.worker);
-            else
-                std::fprintf(stderr,
-                             "guoq_cli: t=%.3fs best cost %g (%zu "
-                             "gates)\n",
-                             ev.seconds, ev.cost, ev.gateCount);
+        cfg.base.hooks.onBest = [](const core::ProgressEvent &ev) {
+            const std::string worker =
+                ev.worker >= 0 ? support::strcat(", worker ", ev.worker)
+                               : "";
+            std::fprintf(stderr,
+                         "guoq_cli: t=%.3fs best cost %g (%zu gates%s)\n",
+                         ev.seconds, ev.cost, ev.gateCount, worker.c_str());
         };
-    core::OptimizeReport result = opt.optimizer->run(input, req);
+    const serve::Outcome o = serve::processParsed(
+        opt.inPath == "-" ? "<stdin>" : opt.inPath, pr, cfg);
+    const core::OptimizeReport &result = o.report;
 
     if (!opt.quiet) {
         std::fprintf(stderr,
@@ -659,40 +668,40 @@ runSingle(const CliOptions &opt)
                          w.finalCost, w.stats.iterations);
     }
 
-    if (opt.verify) {
-        const verify::VerifyRequest vreq = opt.verifyRequest();
-        result.verification =
-            opt.checker->run(input, result.circuit, vreq);
-        const verify::VerifyReport &vr = result.verification;
-        if (vr.shots > 0)
-            std::fprintf(stderr,
-                         "guoq_cli: verified (%s): HS distance %.3g "
-                         "+/- %.3g at %g%% confidence, %ld shots, "
-                         "%.2fs (budget %g): %s\n",
-                         vr.method.c_str(), vr.distanceEstimate,
-                         vr.bound, vr.confidence * 100, vr.shots,
-                         vr.wallSeconds, opt.cfg.base.epsilonTotal,
-                         verify::verdictName(vr.verdict));
-        else
-            std::fprintf(stderr,
-                         "guoq_cli: verified (%s): HS distance %.3g "
-                         "(budget %g): %s\n",
-                         vr.method.c_str(), vr.distanceEstimate,
-                         opt.cfg.base.epsilonTotal,
-                         verify::verdictName(vr.verdict));
-        if (vr.verdict == verify::Verdict::Inequivalent) {
-            std::fprintf(stderr, "guoq_cli: verification FAILED: "
-                                 "distance exceeds budget\n");
-            return 1;
-        }
+    const verify::VerifyReport &vr = result.verification;
+    if (vr.shots > 0)
+        std::fprintf(stderr,
+                     "guoq_cli: verified (%s): HS distance %.3g "
+                     "+/- %.3g at %g%% confidence, %ld shots, "
+                     "%.2fs (budget %g): %s\n",
+                     vr.method.c_str(), vr.distanceEstimate, vr.bound,
+                     vr.confidence * 100, vr.shots, vr.wallSeconds,
+                     opt.cfg.base.epsilonTotal,
+                     verify::verdictName(vr.verdict));
+    else if (!vr.method.empty())
+        std::fprintf(stderr,
+                     "guoq_cli: verified (%s): HS distance %.3g "
+                     "(budget %g): %s\n",
+                     vr.method.c_str(), vr.distanceEstimate,
+                     opt.cfg.base.epsilonTotal,
+                     verify::verdictName(vr.verdict));
+    if (o.entry.status == serve::Status::VerifyFailed) {
+        std::fprintf(stderr, "guoq_cli: verification FAILED: "
+                             "distance exceeds budget\n");
+        return 1;
     }
+    if (o.entry.status == serve::Status::VerifySkipped)
+        std::fprintf(stderr, "guoq_cli: warning: %s\n",
+                     o.entry.message.c_str());
 
     const qasm::Dialect out_d = outputDialect(opt, pr.dialect);
-    if (opt.outPath == "-")
-        std::fputs(qasm::toQasm(result.circuit, out_d).c_str(), stdout);
-    else
-        qasm::writeQasmFile(result.circuit, opt.outPath, out_d);
-    return 0;
+    const std::string err =
+        opt.outPath == "-"
+            ? writeStdout(qasm::toQasm(result.circuit, out_d))
+            : qasm::writeQasmFile(result.circuit, opt.outPath, out_d);
+    if (!err.empty())
+        std::fprintf(stderr, "guoq_cli: %s\n", err.c_str());
+    return err.empty() ? 0 : 1;
 }
 
 } // namespace
