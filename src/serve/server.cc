@@ -29,13 +29,6 @@ secondsSince(const std::chrono::steady_clock::time_point &t0)
         .count();
 }
 
-/** The dialect results are emitted in for an input parsed as @p in. */
-qasm::Dialect
-outputDialect(const Config &cfg, qasm::Dialect in)
-{
-    return cfg.outDialect == qasm::Dialect::Auto ? in : cfg.outDialect;
-}
-
 /** An error entry for a framing failure: located on the serve input
  *  stream (entry.line is the input line, col has no meaning). */
 BatchFileEntry
@@ -96,6 +89,12 @@ isUnder(const fs::path &p, const fs::path &canonRoot)
 }
 
 } // namespace
+
+qasm::Dialect
+outputDialect(const Config &cfg, qasm::Dialect in)
+{
+    return cfg.outDialect == qasm::Dialect::Auto ? in : cfg.outDialect;
+}
 
 Outcome
 processParsed(const std::string &id, const qasm::ParseResult &pr,
@@ -404,8 +403,7 @@ runBatch(const std::string &rootDir, const std::string &outDir,
     // summary contract (docs/FORMATS.md) is one entry per file sorted
     // by path.
     std::sort(result.entries.begin(), result.entries.end(),
-              [](const BatchFileEntry &a,
-                 const BatchFileEntry &b) {
+              [](const BatchFileEntry &a, const BatchFileEntry &b) {
                   return a.file < b.file;
               });
     return result;

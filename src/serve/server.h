@@ -8,12 +8,13 @@
  * (serve/framing.h), optimizes each through the core::Optimizer
  * registry (and so through the shared synth::SynthService cache the
  * process keeps warm across requests), and streams one
- * `guoq-serve-row-v1` JSON line per request as it finishes (row
- * schema: serve/rows.h). Batch
- * mode runs the identical pipeline with "reader = directory walker":
- * files enter the flow as they are discovered instead of after a
- * load-everything-first pass, workers write the mirrored output tree,
- * and the writer collects the `guoq-batch-v1` entries.
+ * `guoq-serve-row-v1` JSON line per request (serve/rows.h) as it
+ * finishes. Batch mode runs the identical pipeline with "reader =
+ * directory walker": files enter the flow as they are discovered
+ * instead of after a load-everything-first pass, workers write the
+ * mirrored output tree, and the writer collects the `guoq-batch-v1`
+ * entries. Single-file CLI mode runs the same per-request body,
+ * processParsed().
  *
  * In-flight work is bounded by credit-based backpressure
  * (serve/pipeline.h): the reader takes one credit per admitted
@@ -81,6 +82,9 @@ struct Config
      *  cooperatively — but still produce their rows. */
     core::CancelToken shutdown;
 };
+
+/** The dialect results are emitted in for an input parsed as @p in. */
+qasm::Dialect outputDialect(const Config &cfg, qasm::Dialect in);
 
 /** One request processed end to end (parse → optimize → verify). */
 struct Outcome

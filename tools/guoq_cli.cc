@@ -369,13 +369,6 @@ listAlgorithms()
     }
 }
 
-/** The output dialect for an input parsed as @p in. */
-qasm::Dialect
-outputDialect(const CliOptions &opt, qasm::Dialect in)
-{
-    return opt.outDialect == qasm::Dialect::Auto ? in : opt.outDialect;
-}
-
 // --- batch mode ------------------------------------------------------
 
 int
@@ -694,7 +687,7 @@ runSingle(const CliOptions &opt)
         std::fprintf(stderr, "guoq_cli: warning: %s\n",
                      o.entry.message.c_str());
 
-    const qasm::Dialect out_d = outputDialect(opt, pr.dialect);
+    const qasm::Dialect out_d = serve::outputDialect(cfg, pr.dialect);
     const std::string err =
         opt.outPath == "-"
             ? writeStdout(qasm::toQasm(result.circuit, out_d))
