@@ -125,7 +125,7 @@ processParsed(const std::string &id, const qasm::ParseResult &pr,
     core::OptimizeRequest req = cfg.base;
     if (seedOverride)
         req.seed = *seedOverride;
-    // Per-request observation: the driver's hooks plus the server-wide
+    // Per-request observation: cfg.base.hooks plus the server-wide
     // shutdown token (so a drain cancels in-flight searches
     // cooperatively) and this request's own deadline, all riding the
     // observer-hook path every search loop already polls.
