@@ -121,7 +121,20 @@ goldenResults()
     b.seconds = 0;
     b.trial = 1;
     b.seed = 8;
-    return {a, b};
+    // Distinct non-zero counters, so a dropped or swapped field shows.
+    CaseResult c;
+    c.caseId = "synthcache";
+    c.benchmark = "ghz5";
+    c.tool = "warm";
+    c.metric = "warm_identical";
+    c.value = 1;
+    c.seconds = 0.125;
+    c.trial = 0;
+    c.seed = 9;
+    c.synthCacheHits = 3;
+    c.synthCacheMisses = 2;
+    c.synthCacheStores = 1;
+    return {a, b, c};
 }
 
 bench::RunMeta
@@ -189,6 +202,21 @@ TEST(BenchEmit, JsonGolden)
                                  "      \"synth_cache_hits\": 0,\n"
                                  "      \"synth_cache_misses\": 0,\n"
                                  "      \"synth_cache_stores\": 0\n"
+                                 "    },\n"
+                                 "    {\n"
+                                 "      \"case\": \"synthcache\",\n"
+                                 "      \"benchmark\": \"ghz5\",\n"
+                                 "      \"tool\": \"warm\",\n"
+                                 "      \"algorithm\": \"\",\n"
+                                 "      \"metric\": \"warm_identical\",\n"
+                                 "      \"value\": 1,\n"
+                                 "      \"seconds\": 0.125,\n"
+                                 "      \"trial\": 0,\n"
+                                 "      \"seed\": 9,\n"
+                                 "      \"workers\": [],\n"
+                                 "      \"synth_cache_hits\": 3,\n"
+                                 "      \"synth_cache_misses\": 2,\n"
+                                 "      \"synth_cache_stores\": 1\n"
                                  "    }\n"
                                  "  ]\n"
                                  "}\n";
@@ -231,7 +259,8 @@ TEST(BenchEmit, CsvGolden)
         "algorithm,synth_cache_hits,synth_cache_misses,"
         "synth_cache_stores\n"
         "fig1,qft_6,guoq,2q_reduction,0.25,0.5,0,7,0.25;0.5,guoq,0,0,0\n"
-        "fig1,\"a\"\"b,c\nd\",t\\v,m,-1.5,0,1,8,,,0,0,0\n";
+        "fig1,\"a\"\"b,c\nd\",t\\v,m,-1.5,0,1,8,,,0,0,0\n"
+        "synthcache,ghz5,warm,warm_identical,1,0.125,0,9,,,3,2,1\n";
     EXPECT_EQ(bench::toCsv(goldenResults()), expected);
 }
 
@@ -274,7 +303,7 @@ parseCsv(const std::string &text)
 TEST(BenchEmit, CsvRoundTripsThroughRfc4180Parser)
 {
     const auto records = parseCsv(bench::toCsv(goldenResults()));
-    ASSERT_EQ(records.size(), 3u); // header + 2 rows
+    ASSERT_EQ(records.size(), 4u); // header + 3 rows
     for (const auto &record : records)
         EXPECT_EQ(record.size(), 13u);
     EXPECT_EQ(records[0][0], "case");
@@ -284,6 +313,9 @@ TEST(BenchEmit, CsvRoundTripsThroughRfc4180Parser)
     // The embedded quote, comma, and newline survive the round trip.
     EXPECT_EQ(records[2][1], "a\"b,c\nd");
     EXPECT_EQ(records[2][4], "-1.5");
+    EXPECT_EQ(records[3][10], "3");
+    EXPECT_EQ(records[3][11], "2");
+    EXPECT_EQ(records[3][12], "1");
 }
 
 TEST(BenchEmit, EscapingHelpers)

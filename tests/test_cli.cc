@@ -3,8 +3,12 @@
  * The guoq_cli contract, driven through the built binary: byte-stable
  * single-file output at a fixed seed, exit codes 0/1/2, the fail-fast
  * verification precheck, batch failure accounting, the output
- * dialect switch and --progress on stderr. The binary's path comes
- * from CMake (GUOQ_CLI_PATH); the suite depends on the guoq_cli target.
+ * dialect switch and --progress on stderr, and the batch contract:
+ * mirrored output trees, the guoq-batch-v1 summary, registry
+ * stamping, warm starts from the persistent synthesis cache and
+ * sampling verification past the dense checker's width. The binary's
+ * path comes from CMake (GUOQ_CLI_PATH); the suite depends on the
+ * guoq_cli target.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +18,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -40,6 +45,33 @@ writeFile(const fs::path &p, const std::string &text)
 {
     std::ofstream out(p);
     out << text;
+}
+
+/** Number of non-overlapping occurrences of @p needle in @p hay. */
+int
+countOf(const std::string &hay, const std::string &needle)
+{
+    int n = 0;
+    for (std::size_t at = hay.find(needle); at != std::string::npos;
+         at = hay.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+/** Sum of the integer values of every `"key": N` in a JSON document. */
+long
+sumOf(const std::string &json, const std::string &key)
+{
+    // Appends, not operator+: GCC 12's -Werror=restrict misfires on
+    // `const char * + std::string`.
+    std::string needle = "\"";
+    needle += key;
+    needle += "\": ";
+    long sum = 0;
+    for (std::size_t at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + needle.size()))
+        sum += std::strtol(json.c_str() + at + needle.size(), nullptr, 10);
+    return sum;
 }
 
 /** A scratch directory private to this process, removed on exit. */
@@ -86,6 +118,18 @@ class CliTest : public ::testing::Test
         r.out = stdoutTo.empty() ? readFile(out) : "";
         r.err = readFile(err);
         return r;
+    }
+
+    /** A batch root holding the named example files. */
+    fs::path
+    exampleRoot(const std::string &name,
+                std::initializer_list<const char *> files)
+    {
+        const fs::path root = dir_ / name;
+        fs::create_directories(root);
+        for (const char *f : files)
+            fs::copy_file(kExamples / f, root / f);
+        return root;
     }
 
     /** A batch root holding bell_pair.qasm, plus a malformed file
@@ -174,6 +218,110 @@ TEST_F(CliTest, BatchFailureExitsOneUnlessKeepGoing)
     EXPECT_EQ(lenient.status, 0) << lenient.err;
     const std::string summary = readFile(dir_ / "out" / "summary.json");
     EXPECT_NE(summary.find("\"failed\": 1"), std::string::npos) << summary;
+}
+
+TEST_F(CliTest, BatchMirrorsTheInputTreeAndWritesTheSummary)
+{
+    const fs::path root = batchRoot(/*withBroken=*/true);
+    fs::create_directories(root / "nested");
+    fs::copy_file(kExamples / "qft4.qasm", root / "nested" / "qft4.qasm");
+    const fs::path out = dir_ / "out";
+    const Result r = run("--batch '" + root.string() + "' --out-dir '" +
+                         out.string() +
+                         "' --jobs 2 --iterations 50 --seed 1 --keep-going");
+    EXPECT_EQ(r.status, 0) << r.err;
+    EXPECT_TRUE(fs::exists(out / "bell_pair.qasm"));
+    EXPECT_TRUE(fs::exists(out / "nested" / "qft4.qasm"));
+    EXPECT_FALSE(fs::exists(out / "broken.qasm"));
+    const std::string summary = readFile(out / "summary.json");
+    EXPECT_NE(summary.find("\"schema\": \"guoq-batch-v1\""),
+              std::string::npos)
+        << summary;
+    EXPECT_NE(summary.find("\"status\": \"parse_error\""),
+              std::string::npos)
+        << summary;
+}
+
+TEST_F(CliTest, ListAlgorithmsShowsTheWholeRegistry)
+{
+    const Result r = run("--list-algorithms");
+    EXPECT_EQ(r.status, 0) << r.err;
+    const std::string listing = "\n" + r.out;
+    for (const char *algo :
+         {"guoq", "guoq-rewrite", "guoq-resynth", "beam", "qiskit-like",
+          "tket-like", "voqc-like", "partition-resynth", "phase-poly",
+          "rl-like"}) {
+        std::string line = "\n";
+        line += algo;
+        line += ' ';
+        EXPECT_NE(listing.find(line), std::string::npos) << algo;
+    }
+}
+
+TEST_F(CliTest, BatchStampsTheAlgorithmOnEveryRow)
+{
+    const fs::path root = batchRoot(/*withBroken=*/true);
+    const fs::path out = dir_ / "out";
+    const Result r = run("--batch '" + root.string() + "' --out-dir '" +
+                         out.string() +
+                         "' --algorithm qiskit-like --jobs 2 "
+                         "--iterations 50 --seed 1 --keep-going");
+    EXPECT_EQ(r.status, 0) << r.err;
+    // One stamp in the run meta plus one per discovered file.
+    EXPECT_EQ(countOf(readFile(out / "summary.json"),
+                      "\"algorithm\": \"qiskit-like\""),
+              2 + 1);
+}
+
+TEST_F(CliTest, WarmSynthCacheReplaysTheColdRun)
+{
+    // Iteration-capped, single-threaded, fixed seed: the two passes
+    // differ only in cache temperature.
+    const fs::path root =
+        exampleRoot("wsuite", {"ghz5_qasm3.qasm", "ghz12_redundant.qasm"});
+    const std::string args = "--batch '" + root.string() +
+                             "' --jobs 1 --threads 1 --iterations 400 "
+                             "--epsilon 1e-5 --seed 1 --synth-cache '" +
+                             (dir_ / "scache").string() + "' --out-dir '";
+    const Result cold = run(args + (dir_ / "cold").string() + "'");
+    ASSERT_EQ(cold.status, 0) << cold.err;
+    const Result warm = run(args + (dir_ / "warm").string() + "'");
+    ASSERT_EQ(warm.status, 0) << warm.err;
+
+    const std::string coldSummary = readFile(dir_ / "cold" / "summary.json");
+    const std::string warmSummary = readFile(dir_ / "warm" / "summary.json");
+    const long coldMisses = sumOf(coldSummary, "synth_cache_misses");
+    const long warmMisses = sumOf(warmSummary, "synth_cache_misses");
+    EXPECT_GT(coldMisses, 0) << coldSummary;
+    EXPECT_GT(sumOf(warmSummary, "synth_cache_hits"), 0) << warmSummary;
+    EXPECT_LE(warmMisses * 2, coldMisses) << warmSummary;
+    for (const char *f : {"ghz5_qasm3.qasm", "ghz12_redundant.qasm"})
+        EXPECT_EQ(readFile(dir_ / "warm" / f), readFile(dir_ / "cold" / f))
+            << f;
+}
+
+TEST_F(CliTest, SamplingVerifiesATwelveQubitBatch)
+{
+    // 12 qubits is past the dense checker; the sampling backend must
+    // verify the file rather than skip it.
+    const fs::path root = exampleRoot("vsuite", {"ghz12_redundant.qasm"});
+    const fs::path out = dir_ / "out";
+    const Result r = run("--batch '" + root.string() + "' --out-dir '" +
+                         out.string() +
+                         "' --iterations 200 --seed 1 --verify "
+                         "--verify-method sampling --verify-shots 256");
+    EXPECT_EQ(r.status, 0) << r.err;
+    const std::string summary = readFile(out / "summary.json");
+    EXPECT_NE(summary.find("\"method\": \"sampling\""), std::string::npos)
+        << summary;
+    EXPECT_NE(summary.find("\"verdict\": \"equivalent\""),
+              std::string::npos)
+        << summary;
+    EXPECT_NE(summary.find("\"bound\": "), std::string::npos) << summary;
+    EXPECT_EQ(summary.find("\"bound\": null"), std::string::npos)
+        << summary;
+    EXPECT_NE(summary.find("\"verify_skipped\": 0"), std::string::npos)
+        << summary;
 }
 
 TEST_F(CliTest, OutDialectQasm3)

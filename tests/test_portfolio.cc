@@ -8,6 +8,7 @@
 #include "core/portfolio.h"
 #include "support/timer.h"
 #include "sim/unitary_sim.h"
+#include "synth/service.h"
 #include "tests/test_util.h"
 #include "transpile/to_gate_set.h"
 #include "workloads/standard.h"
@@ -82,16 +83,60 @@ TEST(Portfolio, MergedStatsSumPerWorkerIterations)
     const ir::Circuit c = testCircuit(3);
     const int threads = 3;
     const long iterations = 150;
-    const core::PortfolioResult p = core::optimizePortfolio(
-        c, ir::GateSetKind::Nam, iterConfig(threads, iterations));
+    // Asynchronous resynthesis through a cache-enabled service, so the
+    // cache and pool counters are live alongside the search counters.
+    synth::SynthService service;
+    service.enableCache(true);
+    core::PortfolioConfig cfg = iterConfig(threads, iterations, 1e-5);
+    cfg.base.resynthProbability = 0.1;
+    cfg.base.maxSubcircuitQubits = 2;
+    cfg.base.synthWorkers = 1;
+    cfg.base.synthService = &service;
+    const core::PortfolioResult p =
+        core::optimizePortfolio(c, ir::GateSetKind::Nam, cfg);
     ASSERT_EQ(p.workers.size(), static_cast<std::size_t>(threads));
-    long sum = 0;
+
+    // Every merged counter is the sum over the workers; the pool's
+    // queue peak is their maximum.
+    core::GuoqStats sum;
     for (const core::PortfolioWorkerReport &w : p.workers) {
         EXPECT_EQ(w.stats.iterations, iterations);
-        sum += w.stats.iterations;
+        sum.iterations += w.stats.iterations;
+        sum.accepted += w.stats.accepted;
+        sum.uphillAccepted += w.stats.uphillAccepted;
+        sum.rejected += w.stats.rejected;
+        sum.noops += w.stats.noops;
+        sum.budgetSkips += w.stats.budgetSkips;
+        sum.resynthCalls += w.stats.resynthCalls;
+        sum.resynthAccepted += w.stats.resynthAccepted;
+        sum.rewriteApplications += w.stats.rewriteApplications;
+        sum.synthCacheHits += w.stats.synthCacheHits;
+        sum.synthCacheMisses += w.stats.synthCacheMisses;
+        sum.synthCacheStores += w.stats.synthCacheStores;
+        sum.poolQueuePeak =
+            std::max(sum.poolQueuePeak, w.stats.poolQueuePeak);
     }
-    EXPECT_EQ(p.stats.iterations, sum);
+    EXPECT_EQ(p.stats.iterations, sum.iterations);
     EXPECT_EQ(p.stats.iterations, threads * iterations);
+    EXPECT_EQ(p.stats.accepted, sum.accepted);
+    EXPECT_EQ(p.stats.uphillAccepted, sum.uphillAccepted);
+    EXPECT_EQ(p.stats.rejected, sum.rejected);
+    EXPECT_EQ(p.stats.noops, sum.noops);
+    EXPECT_EQ(p.stats.budgetSkips, sum.budgetSkips);
+    EXPECT_EQ(p.stats.resynthCalls, sum.resynthCalls);
+    EXPECT_EQ(p.stats.resynthAccepted, sum.resynthAccepted);
+    EXPECT_EQ(p.stats.rewriteApplications, sum.rewriteApplications);
+    EXPECT_EQ(p.stats.synthCacheHits, sum.synthCacheHits);
+    EXPECT_EQ(p.stats.synthCacheMisses, sum.synthCacheMisses);
+    EXPECT_EQ(p.stats.synthCacheStores, sum.synthCacheStores);
+    EXPECT_EQ(p.stats.poolQueuePeak, sum.poolQueuePeak);
+    // The run exercised what it claims to.
+    EXPECT_GT(sum.accepted, 0);
+    EXPECT_GT(sum.rewriteApplications, 0);
+    EXPECT_GT(sum.resynthCalls, 0);
+    EXPECT_GT(sum.synthCacheMisses, 0);
+    EXPECT_GT(sum.synthCacheStores, 0);
+    EXPECT_GE(sum.poolQueuePeak, 1);
 }
 
 TEST(Portfolio, ExposesPerWorkerWallTimeAndSingleThreadTrace)
