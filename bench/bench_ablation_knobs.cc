@@ -72,14 +72,13 @@ runSweep(CaseContext &ctx, const std::vector<std::string> &labels,
                 const std::size_t final_2q =
                     runGuoq(ctx, spec, b.circuit, seed)
                         .twoQubitGateCount();
-                CaseResult r;
+                CaseResult r = ctx.takeRun();
                 r.benchmark = b.name;
                 r.tool = labels[i];
                 r.metric = "final_2q";
                 r.value = static_cast<double>(final_2q);
                 r.trial = t;
                 r.seed = seed;
-                r.workerSeconds = ctx.takeWorkerSeconds();
                 ctx.record(std::move(r));
                 if (t == 0)
                     row.push_back(std::to_string(final_2q));

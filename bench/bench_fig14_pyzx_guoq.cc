@@ -45,8 +45,7 @@ runFig14(CaseContext &ctx)
         for (int t = 0; t < ctx.opts().trials; ++t) {
             const std::uint64_t seed = ctx.opts().trialSeed(t);
             const ir::Circuit out = runGuoq(ctx, spec, zx, seed);
-            const std::vector<double> workers =
-                ctx.takeWorkerSeconds();
+            const CaseResult run = ctx.takeRun();
 
             const struct
             {
@@ -57,7 +56,7 @@ runFig14(CaseContext &ctx)
                           {"pyzx", zx, false},
                           {"pyzx+guoq", out, true}};
             for (const auto &stage : stages) {
-                CaseResult t_row;
+                CaseResult t_row = stage.portfolio ? run : CaseResult{};
                 t_row.benchmark = b.name;
                 t_row.tool = stage.tool;
                 t_row.metric = "t_count";
@@ -65,10 +64,8 @@ runFig14(CaseContext &ctx)
                     static_cast<double>(stage.c.tGateCount());
                 t_row.trial = t;
                 t_row.seed = seed;
-                if (stage.portfolio)
-                    t_row.workerSeconds = workers;
                 ctx.record(std::move(t_row));
-                CaseResult cx_row;
+                CaseResult cx_row = stage.portfolio ? run : CaseResult{};
                 cx_row.benchmark = b.name;
                 cx_row.tool = stage.tool;
                 cx_row.metric = "2q_count";
@@ -76,8 +73,6 @@ runFig14(CaseContext &ctx)
                     static_cast<double>(stage.c.twoQubitGateCount());
                 cx_row.trial = t;
                 cx_row.seed = seed;
-                if (stage.portfolio)
-                    cx_row.workerSeconds = workers;
                 ctx.record(std::move(cx_row));
             }
             if (t > 0)

@@ -47,7 +47,7 @@ runSeries(CaseContext &ctx, const char *name, const ir::Circuit &c,
         spec.cfg.recordTrace = true;
         for (int t = 0; t < ctx.opts().trials; ++t) {
             const std::uint64_t seed = ctx.opts().trialSeed(t);
-            const core::PortfolioResult r =
+            const core::OptimizeReport r =
                 runGuoqPortfolio(ctx, spec, c, seed);
             if (ctx.pretty() && t == 0) {
                 std::printf("%-13s:", mode.label);
@@ -55,7 +55,7 @@ runSeries(CaseContext &ctx, const char *name, const ir::Circuit &c,
                     std::printf(" %.1fs:%zu", p.seconds,
                                 p.twoQubitCount);
                 std::printf("  (final %zu)\n",
-                            r.best.twoQubitGateCount());
+                            r.circuit.twoQubitGateCount());
             }
             for (const core::TracePoint &p : r.trace) {
                 CaseResult row;
@@ -68,16 +68,15 @@ runSeries(CaseContext &ctx, const char *name, const ir::Circuit &c,
                 row.seed = seed;
                 ctx.record(std::move(row));
             }
-            CaseResult final_row;
+            CaseResult final_row = ctx.takeRun();
             final_row.benchmark = name;
             final_row.tool = mode.label;
             final_row.metric = "final_2q";
             final_row.value =
-                static_cast<double>(r.best.twoQubitGateCount());
+                static_cast<double>(r.circuit.twoQubitGateCount());
             final_row.seconds = r.stats.seconds;
             final_row.trial = t;
             final_row.seed = seed;
-            final_row.workerSeconds = ctx.takeWorkerSeconds();
             ctx.record(std::move(final_row));
         }
     }

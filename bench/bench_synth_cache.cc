@@ -76,28 +76,24 @@ runSynthCache(CaseContext &ctx)
             const bool warm = pass == 1;
             for (std::size_t i = 0; i < circuits.size(); ++i) {
                 const auto &b = circuits[i];
-                const core::PortfolioResult r =
+                const core::OptimizeReport r =
                     runGuoqPortfolio(ctx, spec, b.circuit, seed);
-                const SynthCacheTally tally = ctx.takeSynthStats();
-                const std::string out_text = r.best.toString();
+                const std::string out_text = r.circuit.toString();
                 const bool identical =
                     warm && out_text == cold_outputs[i];
                 if (!warm)
                     cold_outputs[i] = out_text;
 
-                CaseResult row;
+                CaseResult row = ctx.takeRun();
+                const synth::ResynthCounters tally = row.stats.synthCache;
                 row.benchmark = b.name;
                 row.tool = warm ? "warm" : "cold";
                 row.metric = warm ? "warm_identical" : "final_2q";
                 row.value = warm ? (identical ? 1.0 : 0.0)
                                  : static_cast<double>(
-                                       r.best.twoQubitGateCount());
+                                       r.circuit.twoQubitGateCount());
                 row.trial = t;
                 row.seed = seed;
-                row.workerSeconds = ctx.takeWorkerSeconds();
-                row.synthCacheHits = tally.hits;
-                row.synthCacheMisses = tally.misses;
-                row.synthCacheStores = tally.stores;
                 ctx.record(std::move(row));
 
                 if (warm) {
@@ -109,7 +105,7 @@ runSynthCache(CaseContext &ctx)
                 if (t == 0)
                     table.addRow(
                         {b.name, warm ? "warm" : "cold",
-                         std::to_string(r.best.twoQubitGateCount()),
+                         std::to_string(r.circuit.twoQubitGateCount()),
                          std::to_string(tally.hits),
                          std::to_string(tally.misses),
                          warm ? (identical ? "yes" : "NO") : "-"});
@@ -129,8 +125,8 @@ runSynthCache(CaseContext &ctx)
                                 : static_cast<double>(cold_misses);
     agg.trial = 0;
     agg.seed = ctx.opts().trialSeed(0);
-    agg.synthCacheHits = warm_hits;
-    agg.synthCacheMisses = warm_misses;
+    agg.stats.synthCache.hits = warm_hits;
+    agg.stats.synthCache.misses = warm_misses;
     ctx.record(std::move(agg));
 
     if (ctx.pretty()) {

@@ -185,9 +185,7 @@ class PartitionResynthOptimizer : public BaselineOptimizer
             req.timeBudgetSeconds, req.seed);
         stats.resynthCalls = r.blocks;
         stats.resynthAccepted = r.blocksImproved;
-        stats.synthCacheHits = r.cacheHits;
-        stats.synthCacheMisses = r.cacheMisses;
-        stats.synthCacheStores = r.cacheStores;
+        stats.synthCache = r.synthCache;
         error = r.errorSpent;
         return std::move(r.circuit);
     }

@@ -55,9 +55,7 @@ partitionResynth(const ir::Circuit &c, ir::GateSetKind set,
         opts.epsilon = eps_per_block;
         opts.deadline = deadline.slice(seconds_per_block);
         const synth::SynthOutcome so = svc->resynthesize(sub, opts, rng);
-        result.cacheHits += so.cacheHit ? 1 : 0;
-        result.cacheMisses += so.cacheMiss ? 1 : 0;
-        result.cacheStores += so.cacheStore ? 1 : 0;
+        result.synthCache.add(so);
         const synth::ResynthResult &r = so.result;
         if (!r.success)
             continue;

@@ -19,6 +19,7 @@
 #include "core/cost.h"
 #include "ir/circuit.h"
 #include "ir/gate_set.h"
+#include "synth/resynth.h"
 
 namespace guoq {
 
@@ -35,9 +36,7 @@ struct PartitionResynthResult
     double errorSpent = 0;   //!< Σ measured block distances
     int blocks = 0;
     int blocksImproved = 0;
-    long cacheHits = 0;      //!< blocks served from the synthesis cache
-    long cacheMisses = 0;
-    long cacheStores = 0;
+    synth::ResynthCounters synthCache; //!< per-block cache traffic
 };
 
 /**

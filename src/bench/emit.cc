@@ -10,7 +10,6 @@ namespace bench {
 
 namespace {
 
-using support::jsonEscape;
 using support::jsonNumber;
 
 std::string
@@ -47,99 +46,52 @@ csvField(const std::string &s)
 std::string
 toJson(const RunMeta &meta, const std::vector<CaseResult> &results)
 {
-    // Sequential appends rather than operator+ chains: GCC 12's
-    // -Werror=restrict misfires on `const char * + std::string &&`.
+    using support::JsonObject;
     std::string out;
-    auto str = [&out](const char *key, const std::string &v,
-                      const char *indent) {
-        out += indent;
-        out += key;
-        out += ": \"";
-        out += jsonEscape(v);
-        out += "\"";
-    };
-    auto num = [&out](const char *key, const std::string &v,
-                      const char *indent) {
-        out += indent;
-        out += key;
-        out += ": ";
-        out += v;
-    };
-    out += "{\n";
-    out += "  \"schema\": \"guoq-bench-v1\",\n";
-    out += "  \"run\": {\n";
-    num("\"scale\"", jsonNumber(meta.scale), "    ");
-    out += ",\n";
-    num("\"trials\"", std::to_string(meta.trials), "    ");
-    out += ",\n";
-    num("\"seed\"", u64(meta.seed), "    ");
-    out += ",\n";
-    num("\"threads\"", std::to_string(meta.threads), "    ");
-    out += ",\n";
-    out += "    \"cases\": [";
-    for (std::size_t i = 0; i < meta.cases.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += "\"";
-        out += jsonEscape(meta.cases[i]);
-        out += "\"";
-    }
-    out += "],\n";
-    out += "    \"machine\": {\n";
-    str("\"cpu\"", meta.machine.cpu, "      ");
-    out += ",\n";
-    num("\"logical_cores\"", std::to_string(meta.machine.logicalCores),
-        "      ");
-    out += ",\n";
-    str("\"simd\"", meta.machine.simd, "      ");
-    out += ",\n";
-    str("\"compiler\"", meta.machine.compiler, "      ");
-    out += ",\n";
-    str("\"build_type\"", meta.machine.buildType, "      ");
-    out += "\n    }\n";
-    out += "  },\n";
-    out += "  \"results\": [";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const CaseResult &r = results[i];
-        out += i ? ",\n    {\n" : "\n    {\n";
-        str("\"case\"", r.caseId, "      ");
-        out += ",\n";
-        str("\"benchmark\"", r.benchmark, "      ");
-        out += ",\n";
-        str("\"tool\"", r.tool, "      ");
-        out += ",\n";
-        str("\"algorithm\"", r.algorithm, "      ");
-        out += ",\n";
-        str("\"metric\"", r.metric, "      ");
-        out += ",\n";
-        num("\"value\"", jsonNumber(r.value), "      ");
-        out += ",\n";
-        num("\"seconds\"", jsonNumber(r.seconds), "      ");
-        out += ",\n";
-        num("\"trial\"", std::to_string(r.trial), "      ");
-        out += ",\n";
-        num("\"seed\"", u64(r.seed), "      ");
-        out += ",\n";
-        out += "      \"workers\": [";
-        for (std::size_t w = 0; w < r.workerSeconds.size(); ++w) {
-            if (w)
-                out += ", ";
-            out += jsonNumber(r.workerSeconds[w]);
-        }
-        out += "],\n";
-        num("\"synth_cache_hits\"", std::to_string(r.synthCacheHits),
-            "      ");
-        out += ",\n";
-        num("\"synth_cache_misses\"",
-            std::to_string(r.synthCacheMisses), "      ");
-        out += ",\n";
-        num("\"synth_cache_stores\"",
-            std::to_string(r.synthCacheStores), "      ");
-        out += "\n";
-        out += "    }";
-    }
-    out += results.empty() ? "]\n" : "\n  ]\n";
-    out += "}\n";
+    JsonObject doc(out, JsonObject::Layout::Pretty);
+    doc.str("schema", "guoq-bench-v1");
+    JsonObject run = doc.object("run");
+    run.num("scale", jsonNumber(meta.scale));
+    run.num("trials", std::to_string(meta.trials));
+    run.num("seed", u64(meta.seed));
+    run.num("threads", std::to_string(meta.threads));
+    std::vector<std::string> cases;
+    for (const std::string &c : meta.cases)
+        cases.push_back(support::jsonString(c));
+    run.list("cases", cases);
+    JsonObject machine = run.object("machine");
+    machine.str("cpu", meta.machine.cpu);
+    machine.num("logical_cores", std::to_string(meta.machine.logicalCores));
+    machine.str("simd", meta.machine.simd);
+    machine.str("compiler", meta.machine.compiler);
+    machine.str("build_type", meta.machine.buildType);
+    machine.close();
+    run.close();
+    doc.objects("results", results,
+                [](JsonObject &row, const CaseResult &r) {
+                    row.str("case", r.caseId);
+                    row.str("benchmark", r.benchmark);
+                    row.str("tool", r.tool);
+                    row.str("algorithm", r.algorithm);
+                    row.str("metric", r.metric);
+                    row.num("value", jsonNumber(r.value));
+                    row.num("seconds", jsonNumber(r.seconds));
+                    row.num("trial", std::to_string(r.trial));
+                    row.num("seed", u64(r.seed));
+                    std::vector<std::string> workers;
+                    for (const double w : r.workerSeconds)
+                        workers.push_back(jsonNumber(w));
+                    row.list("workers", workers);
+                    const synth::ResynthCounters &cache =
+                        r.stats.synthCache;
+                    row.num("synth_cache_hits", std::to_string(cache.hits));
+                    row.num("synth_cache_misses",
+                            std::to_string(cache.misses));
+                    row.num("synth_cache_stores",
+                            std::to_string(cache.stores));
+                });
+    doc.close();
+    out += '\n';
     return out;
 }
 
@@ -165,9 +117,9 @@ toCsv(const std::vector<CaseResult> &results)
             csvNumber(r.value),    csvNumber(r.seconds),
             std::to_string(r.trial), u64(r.seed),
             csvField(workers),     csvField(r.algorithm),
-            std::to_string(r.synthCacheHits),
-            std::to_string(r.synthCacheMisses),
-            std::to_string(r.synthCacheStores)};
+            std::to_string(r.stats.synthCache.hits),
+            std::to_string(r.stats.synthCache.misses),
+            std::to_string(r.stats.synthCache.stores)};
         for (std::size_t f = 0; f < std::size(fields); ++f) {
             if (f)
                 out += ',';

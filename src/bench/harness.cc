@@ -75,26 +75,7 @@ RunOptions::fromEnv()
     return opts;
 }
 
-namespace {
-
-/** Stash a portfolio run's per-worker wall timings on the context
- *  (only multi-thread runs carry per-worker detail). */
-void
-stashWorkers(CaseContext &ctx, int threads,
-             const std::vector<core::PortfolioWorkerReport> &workers)
-{
-    std::vector<double> worker_seconds;
-    if (threads > 1) {
-        worker_seconds.reserve(workers.size());
-        for (const core::PortfolioWorkerReport &w : workers)
-            worker_seconds.push_back(w.wallSeconds);
-    }
-    ctx.stashWorkerSeconds(worker_seconds);
-}
-
-} // namespace
-
-core::PortfolioResult
+core::OptimizeReport
 runGuoqPortfolio(CaseContext &ctx, const GuoqSpec &spec,
                  const ir::Circuit &c, std::uint64_t seed)
 {
@@ -103,9 +84,8 @@ runGuoqPortfolio(CaseContext &ctx, const GuoqSpec &spec,
     pcfg.base.seed = seed;
     pcfg.base.timeBudgetSeconds = ctx.budget(spec.baseBudgetSeconds);
     pcfg.threads = ctx.opts().threads;
-    core::PortfolioResult r = core::optimizePortfolio(c, spec.set, pcfg);
-    stashWorkers(ctx, pcfg.threads, r.workers);
-    ctx.stashSynthStats(r.stats);
+    core::OptimizeReport r = core::optimizePortfolio(c, spec.set, pcfg);
+    ctx.stashRun(r);
     return r;
 }
 
@@ -113,7 +93,7 @@ ir::Circuit
 runGuoq(CaseContext &ctx, const GuoqSpec &spec, const ir::Circuit &c,
         std::uint64_t seed)
 {
-    return runGuoqPortfolio(ctx, spec, c, seed).best;
+    return runGuoqPortfolio(ctx, spec, c, seed).circuit;
 }
 
 Tool
@@ -137,8 +117,7 @@ registryTool(CaseContext &ctx, std::string display,
         req.seed = seed;
         req.threads = ctx.opts().threads;
         core::OptimizeReport report = opt->run(c, req);
-        stashWorkers(ctx, req.threads, report.workers);
-        ctx.stashSynthStats(report.stats);
+        ctx.stashRun(report);
         return std::move(report.circuit);
     };
     return tool;
@@ -172,7 +151,7 @@ runComparison(CaseContext &ctx,
             const double seconds = timer.seconds();
             const double m = cmp.metric(b.circuit, out);
             sum += m;
-            CaseResult row;
+            CaseResult row = ctx.takeRun();
             row.benchmark = b.name;
             row.tool = tool.name;
             row.algorithm = tool.algorithm;
@@ -181,11 +160,6 @@ runComparison(CaseContext &ctx,
             row.seconds = seconds;
             row.trial = t;
             row.seed = seed;
-            row.workerSeconds = ctx.takeWorkerSeconds();
-            const SynthCacheTally tally = ctx.takeSynthStats();
-            row.synthCacheHits = tally.hits;
-            row.synthCacheMisses = tally.misses;
-            row.synthCacheStores = tally.stores;
             ctx.record(std::move(row));
         }
         return sum / static_cast<double>(opts.trials);

@@ -89,31 +89,20 @@ struct CaseResult
     /** Per-worker wall seconds when the row came from a multi-thread
      *  portfolio run (empty otherwise). */
     std::vector<double> workerSeconds;
-    /** @name Synthesis-cache traffic of the producing run(s)
-     *  (all zero when the run did no service-routed resynthesis). */
-    /** @{ */
-    long synthCacheHits = 0;
-    long synthCacheMisses = 0;
-    long synthCacheStores = 0;
-    /** @} */
-};
-
-/** Synthesis-cache traffic ferried from runners to recorded rows. */
-struct SynthCacheTally
-{
-    long hits = 0;
-    long misses = 0;
-    long stores = 0;
+    /** Counters of the producing run(s), merged; the rows carry its
+     *  synthesis-cache traffic (all zero when the run did no
+     *  service-routed resynthesis). */
+    core::GuoqStats stats;
 };
 
 /**
  * Per-case recorder handed to every registered case: stamps rows with
- * the case id and carries the run options. Also ferries the per-worker
- * timings of portfolio runs from runGuoq() to whichever helper records
- * the row for them: each run appends its workers (so a tool built from
- * several GUOQ phases, like fig11's sequential halves, reports all of
- * them), and takeWorkerSeconds() clears the stash so timings can never
- * attach to a later row.
+ * the case id and carries the run options. Also ferries each run's
+ * report from runGuoq() or a registryTool() to whichever helper
+ * records the row for it: each run appends its per-worker timings and
+ * merges its stats (so a tool built from several GUOQ phases, like
+ * fig11's sequential halves, reports all of them), and takeRun()
+ * clears the stash so a run can never attach to a later row.
  */
 class CaseContext
 {
@@ -136,38 +125,26 @@ class CaseContext
         sink_.push_back(std::move(r));
     }
 
-    /** Append one portfolio run's per-worker timings to the stash. */
+    /**
+     * Stash one run for the next recorded row: its per-worker wall
+     * timings (multi-thread portfolio runs only) and its stats.
+     */
     void
-    stashWorkerSeconds(const std::vector<double> &ws)
+    stashRun(const core::OptimizeReport &report)
     {
-        workerSeconds_.insert(workerSeconds_.end(), ws.begin(),
-                              ws.end());
+        if (report.workers.size() > 1)
+            for (const core::PortfolioWorkerReport &w : report.workers)
+                run_.workerSeconds.push_back(w.wallSeconds);
+        run_.stats.merge(report.stats);
     }
 
-    /** Take (and clear) the stashed per-worker timings. */
-    std::vector<double>
-    takeWorkerSeconds()
+    /** Take (and clear) the stash: a row holding only the stashed
+     *  worker timings and stats. */
+    CaseResult
+    takeRun()
     {
-        std::vector<double> out = std::move(workerSeconds_);
-        workerSeconds_.clear();
-        return out;
-    }
-
-    /** Accumulate one run's synthesis-cache counters into the stash. */
-    void
-    stashSynthStats(const core::GuoqStats &stats)
-    {
-        synthTally_.hits += stats.synthCacheHits;
-        synthTally_.misses += stats.synthCacheMisses;
-        synthTally_.stores += stats.synthCacheStores;
-    }
-
-    /** Take (and clear) the stashed cache counters. */
-    SynthCacheTally
-    takeSynthStats()
-    {
-        const SynthCacheTally out = synthTally_;
-        synthTally_ = SynthCacheTally{};
+        CaseResult out = std::move(run_);
+        run_ = CaseResult{};
         return out;
     }
 
@@ -175,8 +152,7 @@ class CaseContext
     const RunOptions &opts_;
     std::string caseId_;
     std::vector<CaseResult> &sink_;
-    std::vector<double> workerSeconds_;
-    SynthCacheTally synthTally_;
+    CaseResult run_;
 };
 
 /** A registered case body. */
@@ -212,14 +188,14 @@ struct GuoqSpec
 
 /**
  * Route one GUOQ invocation through core::optimizePortfolio with the
- * context's thread count, and stash the per-worker wall timings for
- * the next recorded row. threads == 1 reproduces core::optimize()
- * bit-for-bit, so legacy printed numbers are preserved by default.
+ * context's thread count, and stash the run for the next recorded
+ * row. threads == 1 reproduces core::optimize() bit-for-bit, so
+ * legacy printed numbers are preserved by default.
  */
-core::PortfolioResult runGuoqPortfolio(CaseContext &ctx,
-                                       const GuoqSpec &spec,
-                                       const ir::Circuit &c,
-                                       std::uint64_t seed);
+core::OptimizeReport runGuoqPortfolio(CaseContext &ctx,
+                                      const GuoqSpec &spec,
+                                      const ir::Circuit &c,
+                                      std::uint64_t seed);
 
 /** runGuoqPortfolio, keeping only the best circuit. */
 ir::Circuit runGuoq(CaseContext &ctx, const GuoqSpec &spec,

@@ -17,6 +17,23 @@
 namespace guoq {
 namespace core {
 
+void
+GuoqStats::merge(const GuoqStats &other)
+{
+    iterations += other.iterations;
+    accepted += other.accepted;
+    uphillAccepted += other.uphillAccepted;
+    rejected += other.rejected;
+    noops += other.noops;
+    budgetSkips += other.budgetSkips;
+    resynthCalls += other.resynthCalls;
+    resynthAccepted += other.resynthAccepted;
+    rewriteApplications += other.rewriteApplications;
+    synthCache.add(other.synthCache);
+    poolQueuePeak = std::max(poolQueuePeak, other.poolQueuePeak);
+    seconds += other.seconds;
+}
+
 namespace {
 
 /** One in-flight asynchronous resynthesis call. */
@@ -50,14 +67,13 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
     synth::SynthService *svc = cfg.synthService != nullptr
                                    ? cfg.synthService
                                    : &synth::SynthService::global();
-    synth::ResynthCounters counters;
+    GuoqResult result;
     const TransformationSet transforms(
         set, selection,
         perCallEpsilon(cfg.epsilonTotal, cfg.resynthCallEpsilon),
         cfg.resynthProbability, cfg.resynthCallSeconds,
-        cfg.maxSubcircuitQubits, svc, &counters);
+        cfg.maxSubcircuitQubits, svc, &result.stats.synthCache);
 
-    GuoqResult result;
     // The engine owns the current circuit; rule passes run through its
     // persistent index, and its cached counters replace the per-accept
     // full-circuit scans.
@@ -191,7 +207,7 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
                 continue;
             }
             const synth::SynthOutcome so = p.future.get();
-            counters.add(so);
+            result.stats.synthCache.add(so);
             const synth::ResynthResult &r = so.result;
             if (!r.success)
                 continue;
@@ -280,9 +296,6 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
     if (best_is_curr)
         result.best = engine.release(); // the lazy-copy exit: a move
     result.errorBound = error_best;
-    result.stats.synthCacheHits = counters.hits;
-    result.stats.synthCacheMisses = counters.misses;
-    result.stats.synthCacheStores = counters.stores;
     result.stats.poolQueuePeak = svc->poolQueuePeak();
     result.stats.seconds = timer.seconds();
     record(true);

@@ -16,6 +16,7 @@
 #include "core/observer.h"
 #include "ir/circuit.h"
 #include "ir/gate_set.h"
+#include "synth/resynth.h"
 
 namespace guoq {
 
@@ -95,7 +96,10 @@ struct GuoqConfig
     ObserverHooks hooks;
 };
 
-/** Counters for one run. */
+/**
+ * Counters for one run: the one record every emitter (CLI report,
+ * batch and serve rows, bench rows) reads its telemetry from.
+ */
 struct GuoqStats
 {
     long iterations = 0;
@@ -107,11 +111,13 @@ struct GuoqStats
     long resynthCalls = 0;
     long resynthAccepted = 0;
     long rewriteApplications = 0;
-    long synthCacheHits = 0;   //!< resynthesis served from the cache
-    long synthCacheMisses = 0; //!< cache probes that ran a search
-    long synthCacheStores = 0; //!< fresh results inserted
+    synth::ResynthCounters synthCache; //!< synthesis-cache traffic
     long poolQueuePeak = 0;    //!< synthesis-pool queue high-water mark
     double seconds = 0;
+
+    /** Fold in another run's counters: sums, except the queue peak,
+     *  which is a maximum. */
+    void merge(const GuoqStats &other);
 };
 
 /** One point of the best-cost-over-time trace. */

@@ -366,15 +366,8 @@ class GuoqFamilyOptimizer : public Optimizer
         cfg.exchangeBest =
             paramBool(req.params, "exchange-best", cfg.exchangeBest);
 
-        PortfolioResult r = optimizePortfolio(c, req.set, cfg);
-        OptimizeReport report;
+        OptimizeReport report = optimizePortfolio(c, req.set, cfg);
         report.algorithm = info_.name;
-        report.circuit = std::move(r.best);
-        report.cost = r.bestCost;
-        report.errorBound = r.errorBound;
-        report.stats = r.stats;
-        report.trace = std::move(r.trace);
-        report.workers = std::move(r.workers);
         return report;
     }
 

@@ -13,11 +13,10 @@
  * self-describing metadata (checkParams), so a typo fails loudly with
  * a did-you-mean instead of being silently ignored.
  *
- * The legacy free functions (core::optimize, core::optimizePortfolio,
- * baselines::*Optimize) remain the implementations; the registry
- * entries are thin adapters over them, so existing callers and tests
- * keep compiling and threads=1 "guoq" through this API is bit-for-bit
- * core::optimize().
+ * Every algorithm returns the one run record, OptimizeReport
+ * (core/portfolio.h). The "guoq" family returns the report of
+ * core::optimizePortfolio with its name stamped on, so threads=1
+ * "guoq" through this API is bit-for-bit core::optimize().
  */
 
 #pragma once
@@ -33,7 +32,6 @@
 #include "core/portfolio.h"
 #include "ir/circuit.h"
 #include "ir/gate_set.h"
-#include "verify/checker.h"
 
 namespace guoq {
 namespace core {
@@ -104,28 +102,6 @@ struct OptimizeRequest
 
     /** Progress callback + cooperative cancellation. */
     ObserverHooks hooks;
-};
-
-/** What every optimizer produces. */
-struct OptimizeReport
-{
-    std::string algorithm;  //!< registry name of the producer
-    ir::Circuit circuit;    //!< the optimized circuit
-    double cost = 0;        //!< objective value of `circuit`
-    double errorBound = 0;  //!< accumulated ε (0 for exact runs)
-    GuoqStats stats;        //!< counters; search optimizers fill what
-                            //!< applies, `seconds` is always set
-    /** Best-cost-over-time trace when the algorithm records one. */
-    std::vector<TracePoint> trace;
-    /** Per-worker detail for portfolio-backed runs (empty otherwise). */
-    std::vector<PortfolioWorkerReport> workers;
-    /**
-     * Post-hoc equivalence check of `circuit` against the optimizer's
-     * input, when the consumer ran one through verify/checker.h (the
-     * CLI's --verify fills it). `verification.method` empty = none
-     * was performed.
-     */
-    verify::VerifyReport verification;
 };
 
 /** The polymorphic optimizer interface. */

@@ -34,7 +34,6 @@ struct SharedBest
     ir::Circuit circuit GUARDED_BY(mutex);
     double cost GUARDED_BY(mutex) = 0;
     double error GUARDED_BY(mutex) = 0;
-    int worker GUARDED_BY(mutex) = 0;
 
     /** Lock-free mirror of `cost` (updated inside the lock). */
     std::atomic<double> costFast{std::numeric_limits<double>::max()};
@@ -64,7 +63,6 @@ struct SharedBest
             circuit = c;
             cost = cost_c;
             error = 0;
-            worker = 0;
         }
         costFast.store(cost_c, std::memory_order_release);
         // The input circuit is not an "improvement": only costs
@@ -79,7 +77,7 @@ struct SharedBest
     /** Publish a candidate; on cost ties the lower accumulated ε wins
      *  (same rule the workers use locally). */
     void
-    offer(const ir::Circuit &c, double cost_c, double error_c, int worker_c)
+    offer(const ir::Circuit &c, double cost_c, double error_c)
     {
         // Fast path: strictly worse than the (monotone) mirror can
         // never win; ties still need the lock for the ε rule.
@@ -90,7 +88,6 @@ struct SharedBest
             circuit = c;
             cost = cost_c;
             error = error_c;
-            worker = worker_c;
             costFast.store(cost_c, std::memory_order_release);
             epoch.fetch_add(1, std::memory_order_acq_rel);
         }
@@ -139,25 +136,6 @@ struct SharedBest
         user.onBest(ev);
     }
 };
-
-void
-mergeStats(GuoqStats &into, const GuoqStats &from)
-{
-    into.iterations += from.iterations;
-    into.accepted += from.accepted;
-    into.uphillAccepted += from.uphillAccepted;
-    into.rejected += from.rejected;
-    into.noops += from.noops;
-    into.budgetSkips += from.budgetSkips;
-    into.resynthCalls += from.resynthCalls;
-    into.resynthAccepted += from.resynthAccepted;
-    into.rewriteApplications += from.rewriteApplications;
-    into.synthCacheHits += from.synthCacheHits;
-    into.synthCacheMisses += from.synthCacheMisses;
-    into.synthCacheStores += from.synthCacheStores;
-    into.poolQueuePeak = std::max(into.poolQueuePeak, from.poolQueuePeak);
-    into.seconds += from.seconds;
-}
 
 /**
  * One worker: run optimize() in slices against the shared deadline,
@@ -231,7 +209,7 @@ runWorker(int worker, const ir::Circuit &input, ir::GateSetKind set,
             };
         const double slice_t0 = portfolio_timer.seconds();
         GuoqResult r = optimize(curr, set, slice);
-        mergeStats(report.stats, r.stats);
+        report.stats.merge(r.stats);
         if (cfg.base.recordTrace)
             for (TracePoint p : r.trace) {
                 p.seconds += slice_t0;
@@ -246,7 +224,7 @@ runWorker(int worker, const ir::Circuit &input, ir::GateSetKind set,
             curr = std::move(r.best);
             error_curr = error_r;
         }
-        shared.offer(curr, cost(curr), error_curr, worker);
+        shared.offer(curr, cost(curr), error_curr);
         if (cfg.exchangeBest && sliced && !deadline.expired() &&
             !cfg.base.hooks.cancelled()) {
             double adopted_error = error_curr;
@@ -316,7 +294,7 @@ portfolioWorkerSeed(std::uint64_t base_seed, int worker)
     return z ^ (z >> 31);
 }
 
-PortfolioResult
+OptimizeReport
 optimizePortfolio(const ir::Circuit &c, ir::GateSetKind set,
                   const PortfolioConfig &cfg)
 {
@@ -324,21 +302,20 @@ optimizePortfolio(const ir::Circuit &c, ir::GateSetKind set,
     const CostFunction cost(cfg.base.objective, set);
     support::Timer timer;
 
-    PortfolioResult result;
+    OptimizeReport result;
 
     if (threads == 1) {
         // Exactly one core::optimize() call: same seed, same result.
         GuoqResult r = optimize(c, set, cfg.base);
-        result.best = std::move(r.best);
-        result.bestCost = cost(result.best);
+        result.circuit = std::move(r.best);
+        result.cost = cost(result.circuit);
         result.errorBound = r.errorBound;
-        result.winningWorker = 0;
         result.stats = r.stats;
         result.trace = std::move(r.trace);
         PortfolioWorkerReport report;
         report.worker = 0;
         report.seed = cfg.base.seed;
-        report.finalCost = result.bestCost;
+        report.finalCost = result.cost;
         report.errorBound = r.errorBound;
         report.stats = r.stats;
         result.stats.seconds = timer.seconds();
@@ -372,13 +349,12 @@ optimizePortfolio(const ir::Circuit &c, ir::GateSetKind set,
         // All workers have joined; the lock is uncontended and taken
         // only so the guarded-field accesses stay provably guarded.
         support::MutexLock lock(shared.mutex);
-        result.best = std::move(shared.circuit);
-        result.bestCost = shared.cost;
+        result.circuit = std::move(shared.circuit);
+        result.cost = shared.cost;
         result.errorBound = shared.error;
-        result.winningWorker = shared.worker;
     }
-    for (PortfolioWorkerReport &r : reports)
-        mergeStats(result.stats, r.stats);
+    for (const PortfolioWorkerReport &r : reports)
+        result.stats.merge(r.stats);
     result.workers = std::move(reports);
     if (cfg.base.recordTrace)
         result.trace = mergeTraces(traces, c, cost(c));

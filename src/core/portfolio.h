@@ -19,11 +19,13 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/guoq.h"
 #include "ir/circuit.h"
 #include "ir/gate_set.h"
+#include "verify/checker.h"
 
 namespace guoq {
 namespace core {
@@ -78,27 +80,43 @@ struct PortfolioWorkerReport
     GuoqStats stats;          //!< summed over the worker's slices
 };
 
-/** Result of optimizePortfolio(). */
-struct PortfolioResult
+/**
+ * The one record of an optimizer run: what core::optimizePortfolio()
+ * and every registry optimizer (core/optimizer.h) return, and what
+ * every emitter reads.
+ */
+struct OptimizeReport
 {
-    ir::Circuit best;
-    double bestCost = 0;
-    double errorBound = 0;   //!< accumulated ε of `best`
-    int winningWorker = 0;   //!< worker that first reached `bestCost`
-    GuoqStats stats;         //!< merged: counters summed over workers,
-                             //!< `seconds` = portfolio wall-clock time
-    std::vector<PortfolioWorkerReport> workers;
+    std::string algorithm;  //!< registry name of the producer (stamped
+                            //!< by the registry optimizer)
+    ir::Circuit circuit;    //!< the optimized circuit
+    double cost = 0;        //!< objective value of `circuit`
+    double errorBound = 0;  //!< accumulated ε of `circuit` (0 for
+                            //!< exact runs)
+    /** Counters; search optimizers fill what applies, `seconds` is
+     *  always set. Portfolio runs merge them over the workers
+     *  (GuoqStats::merge), with `seconds` the portfolio's wall time. */
+    GuoqStats stats;
     /**
-     * Best-cost-over-time trace when cfg.base.recordTrace is set.
-     * threads == 1 passes the single optimize() run's trace through
-     * unchanged. threads > 1 merges the per-worker slice traces into
-     * one portfolio-level trajectory: points are time-sorted on the
-     * portfolio clock (seconds since the run started), the first point
-     * is the input circuit at t = 0, and every later point is a
-     * *strict* portfolio-wide cost improvement (monotone decreasing),
-     * regardless of which worker found it.
+     * Best-cost-over-time trace when the algorithm records one.
+     * A one-thread portfolio passes the single optimize() run's trace
+     * through unchanged. threads > 1 merges the per-worker slice
+     * traces into one portfolio-level trajectory: points are
+     * time-sorted on the portfolio clock (seconds since the run
+     * started), the first point is the input circuit at t = 0, and
+     * every later point is a *strict* portfolio-wide cost improvement
+     * (monotone decreasing), regardless of which worker found it.
      */
     std::vector<TracePoint> trace;
+    /** Per-worker detail for portfolio-backed runs (empty otherwise). */
+    std::vector<PortfolioWorkerReport> workers;
+    /**
+     * Post-hoc equivalence check of `circuit` against the optimizer's
+     * input, when the consumer ran one through verify/checker.h (the
+     * CLI's --verify fills it). `verification.method` empty = none
+     * was performed.
+     */
+    verify::VerifyReport verification;
 };
 
 /** The seed worker @p worker uses for its first slice. */
@@ -114,9 +132,9 @@ std::uint64_t portfolioWorkerSeed(std::uint64_t base_seed, int worker);
  * (by cfg.base.objective) than any single worker's, and in particular
  * never worse than the input.
  */
-PortfolioResult optimizePortfolio(const ir::Circuit &c,
-                                  ir::GateSetKind set,
-                                  const PortfolioConfig &cfg);
+OptimizeReport optimizePortfolio(const ir::Circuit &c,
+                                 ir::GateSetKind set,
+                                 const PortfolioConfig &cfg);
 
 } // namespace core
 } // namespace guoq

@@ -27,7 +27,6 @@ namespace guoq {
 
 namespace synth {
 class SynthService;
-struct ResynthCounters;
 } // namespace synth
 
 namespace core {

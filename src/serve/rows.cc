@@ -35,84 +35,14 @@ info(Status s)
 }
 
 /**
- * One JSON object's fields in either row layout: pretty (one field per
- * line, two spaces of indent per depth; guoq-batch-v1) or inline (one
- * line, ", " between fields; guoq-serve-row-v1).
- */
-class Fields
-{
-  public:
-    Fields(std::string &out, int depth, bool pretty)
-        : out_(out), depth_(depth), pretty_(pretty)
-    {
-        out_ += '{';
-    }
-
-    /** Write the separator and `"key": `; the value follows. */
-    void
-    key(const char *k)
-    {
-        if (pretty_) {
-            out_ += first_ ? "\n" : ",\n";
-            out_.append(2 * (depth_ + 1), ' ');
-        } else if (!first_) {
-            out_ += ", ";
-        }
-        first_ = false;
-        out_ += '"';
-        out_ += k;
-        out_ += "\": ";
-    }
-
-    void
-    str(const char *k, const std::string &v)
-    {
-        key(k);
-        out_ += '"';
-        out_ += support::jsonEscape(v);
-        out_ += '"';
-    }
-
-    void
-    num(const char *k, const std::string &token)
-    {
-        key(k);
-        out_ += token;
-    }
-
-    /** A nested object under @p k; close() it before the next field. */
-    Fields
-    object(const char *k)
-    {
-        key(k);
-        return Fields(out_, depth_ + 1, pretty_);
-    }
-
-    void
-    close()
-    {
-        if (pretty_ && !first_) {
-            out_ += '\n';
-            out_.append(2 * depth_, ' ');
-        }
-        out_ += '}';
-    }
-
-  private:
-    std::string &out_;
-    int depth_;
-    bool pretty_;
-    bool first_ = true;
-};
-
-/**
  * An entry's fields in schema order, written once for both schemas.
  * A non-null @p qasm selects the serve row: `id` for `file`, the
  * numeric `code`, no `output`, and the program inline on ok-shaped
  * rows.
  */
 void
-entryFields(Fields &f, const BatchFileEntry &e, const std::string *qasm)
+entryFields(support::JsonObject &f, const BatchFileEntry &e,
+            const std::string *qasm)
 {
     const bool ok = isOkShaped(e.status);
     f.str(qasm ? "id" : "file", e.file);
@@ -130,10 +60,12 @@ entryFields(Fields &f, const BatchFileEntry &e, const std::string *qasm)
         f.num("twoq_before", std::to_string(e.twoQubitBefore));
         f.num("twoq_after", std::to_string(e.twoQubitAfter));
         f.num("error_bound", support::jsonNumber(e.errorBound));
-        f.num("synth_cache_hits", std::to_string(e.synthCacheHits));
-        f.num("synth_cache_misses", std::to_string(e.synthCacheMisses));
-        f.num("synth_cache_stores", std::to_string(e.synthCacheStores));
-        f.num("pool_queue_peak", std::to_string(e.poolQueuePeak));
+        f.num("synth_cache_hits", std::to_string(e.stats.synthCache.hits));
+        f.num("synth_cache_misses",
+              std::to_string(e.stats.synthCache.misses));
+        f.num("synth_cache_stores",
+              std::to_string(e.stats.synthCache.stores));
+        f.num("pool_queue_peak", std::to_string(e.stats.poolQueuePeak));
         // Notes ride along (a verify_skipped entry always has one
         // explaining why the check could not run).
         if (!e.message.empty())
@@ -145,7 +77,7 @@ entryFields(Fields &f, const BatchFileEntry &e, const std::string *qasm)
     }
     if (!e.verify.method.empty()) {
         const verify::VerifyReport &vr = e.verify;
-        Fields v = f.object("verify");
+        support::JsonObject v = f.object("verify");
         v.str("method", vr.method);
         v.num("distance", support::jsonNumber(vr.distanceEstimate));
         v.num("bound", support::jsonNumber(vr.bound));
@@ -193,9 +125,9 @@ toBatchJson(const BatchRunMeta &meta,
     }
 
     std::string out;
-    Fields doc(out, 0, true);
+    support::JsonObject doc(out, support::JsonObject::Layout::Pretty);
     doc.str("schema", "guoq-batch-v1");
-    Fields run = doc.object("run");
+    support::JsonObject run = doc.object("run");
     run.str("input_dir", meta.inputDir);
     run.str("output_dir", meta.outputDir);
     run.str("gate_set", meta.gateSet);
@@ -213,15 +145,10 @@ toBatchJson(const BatchRunMeta &meta,
     run.num("failed", std::to_string(files.size() - ok - skipped));
     run.num(statusName(Status::VerifySkipped), std::to_string(skipped));
     run.close();
-    doc.key("files");
-    out += '[';
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        out += i ? ",\n    " : "\n    ";
-        Fields entry(out, 2, true);
-        entryFields(entry, files[i], nullptr);
-        entry.close();
-    }
-    out += files.empty() ? "]" : "\n  ]";
+    doc.objects("files", files,
+                [](support::JsonObject &entry, const BatchFileEntry &f) {
+                    entryFields(entry, f, nullptr);
+                });
     doc.close();
     out += '\n';
     return out;
@@ -231,7 +158,7 @@ std::string
 toServeRowJson(const BatchFileEntry &e, const std::string &qasm)
 {
     std::string out;
-    Fields row(out, 0, false);
+    support::JsonObject row(out, support::JsonObject::Layout::Inline);
     row.str("schema", "guoq-serve-row-v1");
     entryFields(row, e, &qasm);
     row.close();

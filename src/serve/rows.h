@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/guoq.h"
 #include "verify/checker.h"
 
 namespace guoq {
@@ -55,14 +56,9 @@ struct BatchFileEntry
     std::size_t twoQubitBefore = 0;
     std::size_t twoQubitAfter = 0;
     double errorBound = 0; //!< accumulated ε of the result
-    /** @name Synthesis-cache traffic of this request's run (ok-shaped
-     *  entries; see docs/FORMATS.md) */
-    /** @{ */
-    long synthCacheHits = 0;
-    long synthCacheMisses = 0;
-    long synthCacheStores = 0;
-    long poolQueuePeak = 0;
-    /** @} */
+    /** The run's counters (ok-shaped entries); the rows carry its
+     *  cache traffic and pool queue peak (see docs/FORMATS.md). */
+    core::GuoqStats stats;
     double seconds = 0;    //!< wall time spent on this request
     int line = 0;          //!< error position (failures; 0 = n/a)
     int col = 0;

@@ -141,10 +141,7 @@ processParsed(const std::string &id, const qasm::ParseResult &pr,
     e.gatesAfter = result.circuit.size();
     e.twoQubitAfter = result.circuit.twoQubitGateCount();
     e.errorBound = result.errorBound;
-    e.synthCacheHits = result.stats.synthCacheHits;
-    e.synthCacheMisses = result.stats.synthCacheMisses;
-    e.synthCacheStores = result.stats.synthCacheStores;
-    e.poolQueuePeak = result.stats.poolQueuePeak;
+    e.stats = result.stats;
     // An anytime search cut short by its deadline still returns its
     // best-so-far circuit — a valid, verified result — so the row
     // stays ok-shaped; the note keeps the truncation visible.

@@ -35,6 +35,42 @@ struct ResynthResult
     double distance = 1.0; //!< achieved HS distance to the input
 };
 
+/** One service-mediated resynthesis outcome, with cache attribution
+ *  (synth::SynthService in synth/service.h produces these). */
+struct SynthOutcome
+{
+    ResynthResult result;
+    bool cacheHit = false;
+    bool cacheMiss = false;
+    bool cacheStore = false;
+};
+
+/** A run's synthesis-cache traffic, tallied from its outcomes. */
+struct ResynthCounters
+{
+    long hits = 0;   //!< requests served from the cache
+    long misses = 0; //!< cache probes that ran a search
+    long stores = 0; //!< fresh results inserted
+
+    /** Count one outcome. */
+    void
+    add(const SynthOutcome &o)
+    {
+        hits += o.cacheHit ? 1 : 0;
+        misses += o.cacheMiss ? 1 : 0;
+        stores += o.cacheStore ? 1 : 0;
+    }
+
+    /** Add another tally. */
+    void
+    add(const ResynthCounters &o)
+    {
+        hits += o.hits;
+        misses += o.misses;
+        stores += o.stores;
+    }
+};
+
 /**
  * Resynthesize @p sub (a standalone subcircuit) into a new circuit
  * whose unitary is within @p opts.epsilon of the original, expressed

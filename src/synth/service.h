@@ -34,30 +34,6 @@
 namespace guoq {
 namespace synth {
 
-/** One service-mediated resynthesis outcome, with cache attribution. */
-struct SynthOutcome
-{
-    ResynthResult result;
-    bool cacheHit = false;
-    bool cacheMiss = false;
-    bool cacheStore = false;
-};
-
-/** Per-run cache-traffic tally, accumulated by the consumers. */
-struct ResynthCounters
-{
-    long hits = 0;
-    long misses = 0;
-    long stores = 0;
-
-    void add(const SynthOutcome &o)
-    {
-        hits += o.cacheHit ? 1 : 0;
-        misses += o.cacheMiss ? 1 : 0;
-        stores += o.cacheStore ? 1 : 0;
-    }
-};
-
 /** Cache + pool front end for resynthesize(). */
 class SynthService
 {

@@ -73,29 +73,50 @@ TEST(BenchRegistry, MatchesComponentsThenSubstringsInCanonicalOrder)
                     .empty());
 }
 
-TEST(BenchHarness, CaseContextStampsCaseIdAndClearsWorkerStash)
+TEST(BenchHarness, CaseContextStampsCaseIdAndClearsRunStash)
 {
     bench::RunOptions opts;
     std::vector<CaseResult> sink;
     bench::CaseContext ctx(opts, "fig0", sink);
 
-    // Stashes append, so a tool built from several portfolio phases
-    // reports every phase's workers.
-    ctx.stashWorkerSeconds({1.0});
-    ctx.stashWorkerSeconds({2.0});
-    CaseResult row;
+    // Stashes accumulate, so a tool built from several portfolio phases
+    // reports every phase's workers and counters.
+    auto report = [](double first_worker_seconds, long hits) {
+        core::OptimizeReport r;
+        r.workers.resize(2);
+        r.workers[0].wallSeconds = first_worker_seconds;
+        r.workers[1].wallSeconds = first_worker_seconds + 0.5;
+        r.stats.iterations = 10;
+        r.stats.synthCache.hits = hits;
+        return r;
+    };
+    ctx.stashRun(report(1.0, 3));
+    ctx.stashRun(report(2.0, 4));
+    // A one-worker run carries no per-worker timings.
+    core::OptimizeReport single;
+    single.workers.resize(1);
+    single.stats.synthCache.misses = 5;
+    ctx.stashRun(single);
+
+    CaseResult row = ctx.takeRun();
     row.benchmark = "b";
     row.tool = "t";
     row.metric = "m";
-    row.workerSeconds = ctx.takeWorkerSeconds();
     ctx.record(row);
     // The stash is take-once: a second take must not re-attach the
-    // first run's timings to a later row.
-    EXPECT_TRUE(ctx.takeWorkerSeconds().empty());
+    // first runs to a later row.
+    const CaseResult again = ctx.takeRun();
+    EXPECT_TRUE(again.workerSeconds.empty());
+    EXPECT_EQ(again.stats.iterations, 0);
+    EXPECT_EQ(again.stats.synthCache.hits, 0);
 
     ASSERT_EQ(sink.size(), 1u);
     EXPECT_EQ(sink[0].caseId, "fig0");
-    EXPECT_EQ(sink[0].workerSeconds, (std::vector<double>{1.0, 2.0}));
+    EXPECT_EQ(sink[0].workerSeconds,
+              (std::vector<double>{1.0, 1.5, 2.0, 2.5}));
+    EXPECT_EQ(sink[0].stats.iterations, 20);
+    EXPECT_EQ(sink[0].stats.synthCache.hits, 7);
+    EXPECT_EQ(sink[0].stats.synthCache.misses, 5);
 }
 
 std::vector<CaseResult>
@@ -131,9 +152,9 @@ goldenResults()
     c.seconds = 0.125;
     c.trial = 0;
     c.seed = 9;
-    c.synthCacheHits = 3;
-    c.synthCacheMisses = 2;
-    c.synthCacheStores = 1;
+    c.stats.synthCache.hits = 3;
+    c.stats.synthCache.misses = 2;
+    c.stats.synthCache.stores = 1;
     return {a, b, c};
 }
 

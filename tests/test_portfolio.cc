@@ -40,16 +40,15 @@ TEST(Portfolio, SingleThreadReproducesOptimizeExactly)
 {
     const ir::Circuit c = testCircuit();
     const core::PortfolioConfig cfg = iterConfig(1, 300);
-    const core::PortfolioResult p =
+    const core::OptimizeReport p =
         core::optimizePortfolio(c, ir::GateSetKind::Nam, cfg);
     const core::GuoqResult r =
         core::optimize(c, ir::GateSetKind::Nam, cfg.base);
-    EXPECT_EQ(p.best.toString(), r.best.toString());
+    EXPECT_EQ(p.circuit.toString(), r.best.toString());
     EXPECT_EQ(p.errorBound, r.errorBound);
     EXPECT_EQ(p.stats.iterations, r.stats.iterations);
     EXPECT_EQ(p.stats.accepted, r.stats.accepted);
     EXPECT_EQ(p.stats.rejected, r.stats.rejected);
-    EXPECT_EQ(p.winningWorker, 0);
     ASSERT_EQ(p.workers.size(), 1u);
     EXPECT_EQ(p.workers[0].seed, cfg.base.seed);
 }
@@ -61,7 +60,7 @@ TEST(Portfolio, NeverWorseThanAnySingleSeed)
                                   ir::GateSetKind::Nam);
     const int threads = 4;
     const core::PortfolioConfig cfg = iterConfig(threads, 200);
-    const core::PortfolioResult p =
+    const core::OptimizeReport p =
         core::optimizePortfolio(c, ir::GateSetKind::Nam, cfg);
 
     // Each worker's single-seed run, replayed serially.
@@ -73,9 +72,9 @@ TEST(Portfolio, NeverWorseThanAnySingleSeed)
             core::optimize(c, ir::GateSetKind::Nam, single);
         worst = std::max(worst, cost(r.best));
     }
-    EXPECT_LE(p.bestCost, worst);
-    EXPECT_LE(p.bestCost, cost(c));
-    EXPECT_EQ(cost(p.best), p.bestCost);
+    EXPECT_LE(p.cost, worst);
+    EXPECT_LE(p.cost, cost(c));
+    EXPECT_EQ(cost(p.circuit), p.cost);
 }
 
 TEST(Portfolio, MergedStatsSumPerWorkerIterations)
@@ -92,7 +91,7 @@ TEST(Portfolio, MergedStatsSumPerWorkerIterations)
     cfg.base.maxSubcircuitQubits = 2;
     cfg.base.synthWorkers = 1;
     cfg.base.synthService = &service;
-    const core::PortfolioResult p =
+    const core::OptimizeReport p =
         core::optimizePortfolio(c, ir::GateSetKind::Nam, cfg);
     ASSERT_EQ(p.workers.size(), static_cast<std::size_t>(threads));
 
@@ -110,9 +109,9 @@ TEST(Portfolio, MergedStatsSumPerWorkerIterations)
         sum.resynthCalls += w.stats.resynthCalls;
         sum.resynthAccepted += w.stats.resynthAccepted;
         sum.rewriteApplications += w.stats.rewriteApplications;
-        sum.synthCacheHits += w.stats.synthCacheHits;
-        sum.synthCacheMisses += w.stats.synthCacheMisses;
-        sum.synthCacheStores += w.stats.synthCacheStores;
+        sum.synthCache.hits += w.stats.synthCache.hits;
+        sum.synthCache.misses += w.stats.synthCache.misses;
+        sum.synthCache.stores += w.stats.synthCache.stores;
         sum.poolQueuePeak =
             std::max(sum.poolQueuePeak, w.stats.poolQueuePeak);
     }
@@ -126,16 +125,16 @@ TEST(Portfolio, MergedStatsSumPerWorkerIterations)
     EXPECT_EQ(p.stats.resynthCalls, sum.resynthCalls);
     EXPECT_EQ(p.stats.resynthAccepted, sum.resynthAccepted);
     EXPECT_EQ(p.stats.rewriteApplications, sum.rewriteApplications);
-    EXPECT_EQ(p.stats.synthCacheHits, sum.synthCacheHits);
-    EXPECT_EQ(p.stats.synthCacheMisses, sum.synthCacheMisses);
-    EXPECT_EQ(p.stats.synthCacheStores, sum.synthCacheStores);
+    EXPECT_EQ(p.stats.synthCache.hits, sum.synthCache.hits);
+    EXPECT_EQ(p.stats.synthCache.misses, sum.synthCache.misses);
+    EXPECT_EQ(p.stats.synthCache.stores, sum.synthCache.stores);
     EXPECT_EQ(p.stats.poolQueuePeak, sum.poolQueuePeak);
     // The run exercised what it claims to.
     EXPECT_GT(sum.accepted, 0);
     EXPECT_GT(sum.rewriteApplications, 0);
     EXPECT_GT(sum.resynthCalls, 0);
-    EXPECT_GT(sum.synthCacheMisses, 0);
-    EXPECT_GT(sum.synthCacheStores, 0);
+    EXPECT_GT(sum.synthCache.misses, 0);
+    EXPECT_GT(sum.synthCache.stores, 0);
     EXPECT_GE(sum.poolQueuePeak, 1);
 }
 
@@ -147,7 +146,7 @@ TEST(Portfolio, ExposesPerWorkerWallTimeAndSingleThreadTrace)
     // and the one worker reports its wall time.
     core::PortfolioConfig cfg = iterConfig(1, 200);
     cfg.base.recordTrace = true;
-    const core::PortfolioResult p =
+    const core::OptimizeReport p =
         core::optimizePortfolio(c, ir::GateSetKind::Nam, cfg);
     EXPECT_FALSE(p.trace.empty());
     ASSERT_EQ(p.workers.size(), 1u);
@@ -158,7 +157,7 @@ TEST(Portfolio, ExposesPerWorkerWallTimeAndSingleThreadTrace)
     // MultiWorkerTraceIsMergedAndMonotone).
     core::PortfolioConfig multi = iterConfig(3, 100);
     multi.base.recordTrace = true;
-    const core::PortfolioResult q =
+    const core::OptimizeReport q =
         core::optimizePortfolio(c, ir::GateSetKind::Nam, multi);
     EXPECT_FALSE(q.trace.empty());
     ASSERT_EQ(q.workers.size(), 3u);
@@ -173,7 +172,7 @@ TEST(Portfolio, MultiWorkerTraceIsMergedAndMonotone)
                                   ir::GateSetKind::Nam);
     core::PortfolioConfig cfg = iterConfig(3, 250);
     cfg.base.recordTrace = true;
-    const core::PortfolioResult p =
+    const core::OptimizeReport p =
         core::optimizePortfolio(c, ir::GateSetKind::Nam, cfg);
 
     // The merged trace starts at the input circuit at t = 0 and every
@@ -187,7 +186,7 @@ TEST(Portfolio, MultiWorkerTraceIsMergedAndMonotone)
         EXPECT_GE(p.trace[i].seconds, p.trace[i - 1].seconds);
     }
     // The trajectory ends at the returned best cost.
-    EXPECT_DOUBLE_EQ(p.trace.back().cost, p.bestCost);
+    EXPECT_DOUBLE_EQ(p.trace.back().cost, p.cost);
 }
 
 TEST(Portfolio, HighThreadCountStressKeepsInvariants)
@@ -207,21 +206,19 @@ TEST(Portfolio, HighThreadCountStressKeepsInvariants)
     cfg.syncIntervalSeconds = 0.05; // many exchanges, small slices
     cfg.base.seed = 23;
     support::Timer timer;
-    const core::PortfolioResult p =
+    const core::OptimizeReport p =
         core::optimizePortfolio(c, ir::GateSetKind::Nam, cfg);
     EXPECT_LT(timer.seconds(), 30.0);
 
-    EXPECT_DOUBLE_EQ(cost(p.best), p.bestCost);
-    EXPECT_LE(p.bestCost, cost(c));
+    EXPECT_DOUBLE_EQ(cost(p.circuit), p.cost);
+    EXPECT_LE(p.cost, cost(c));
     EXPECT_LE(p.errorBound, eps);
-    EXPECT_GE(p.winningWorker, 0);
-    EXPECT_LT(p.winningWorker, cfg.threads);
     ASSERT_EQ(p.workers.size(), 8u);
     long total_iterations = 0;
     for (const core::PortfolioWorkerReport &w : p.workers) {
         // The global best is at least as good as what every worker
         // ended with (each worker offers its final circuit).
-        EXPECT_GE(w.finalCost, p.bestCost);
+        EXPECT_GE(w.finalCost, p.cost);
         EXPECT_LE(w.errorBound, eps);
         total_iterations += w.stats.iterations;
     }
@@ -245,10 +242,10 @@ TEST(Portfolio, RespectsEpsilonBudgetAcrossWorkers)
     const ir::Circuit c = testCircuit(4, 35);
     const double eps = 1e-5;
     core::PortfolioConfig cfg = iterConfig(3, 300, eps);
-    const core::PortfolioResult p =
+    const core::OptimizeReport p =
         core::optimizePortfolio(c, ir::GateSetKind::Nam, cfg);
     EXPECT_LE(p.errorBound, eps);
-    EXPECT_LE(sim::circuitDistance(c, p.best), eps + testutil::kExact);
+    EXPECT_LE(sim::circuitDistance(c, p.circuit), eps + testutil::kExact);
     for (const core::PortfolioWorkerReport &w : p.workers)
         EXPECT_LE(w.errorBound, eps);
 }
@@ -270,10 +267,10 @@ TEST(Portfolio, TimeBudgetModeFinishesAndImproves)
     cfg.syncIntervalSeconds = 0.2;
     cfg.base.seed = 7;
     support::Timer timer;
-    const core::PortfolioResult p =
+    const core::OptimizeReport p =
         core::optimizePortfolio(c, ir::GateSetKind::Nam, cfg);
     EXPECT_LT(timer.seconds(), 10.0);
-    EXPECT_EQ(p.best.size(), 0u);
+    EXPECT_EQ(p.circuit.size(), 0u);
     EXPECT_EQ(p.errorBound, 0.0);
     EXPECT_GT(p.stats.iterations, 0);
 }

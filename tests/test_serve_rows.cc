@@ -36,10 +36,10 @@ okRow()
     e.twoQubitBefore = 2;
     e.twoQubitAfter = 1;
     e.errorBound = 0;
-    e.synthCacheHits = 3;
-    e.synthCacheMisses = 1;
-    e.synthCacheStores = 1;
-    e.poolQueuePeak = 2;
+    e.stats.synthCache.hits = 3;
+    e.stats.synthCache.misses = 1;
+    e.stats.synthCache.stores = 1;
+    e.stats.poolQueuePeak = 2;
     e.seconds = 0.5;
     e.verify.method = "dense";
     e.verify.distanceEstimate = 1.5e-08;

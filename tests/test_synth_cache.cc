@@ -488,11 +488,11 @@ TEST(SynthService, WarmRunReplaysColdRunByteForByte)
     EXPECT_EQ(warm.errorBound, cold.errorBound);
     EXPECT_EQ(warm.stats.iterations, cold.stats.iterations);
     EXPECT_EQ(warm.stats.accepted, cold.stats.accepted);
-    ASSERT_GT(cold.stats.synthCacheMisses, 0);
-    EXPECT_GT(warm.stats.synthCacheHits, 0);
+    ASSERT_GT(cold.stats.synthCache.misses, 0);
+    EXPECT_GT(warm.stats.synthCache.hits, 0);
     // The acceptance criterion: >= 2x fewer synthesizer searches warm.
-    EXPECT_LE(warm.stats.synthCacheMisses * 2,
-              cold.stats.synthCacheMisses);
+    EXPECT_LE(warm.stats.synthCache.misses * 2,
+              cold.stats.synthCache.misses);
 }
 
 TEST(SynthService, PersistentTierWarmStartsAcrossServices)
@@ -518,9 +518,9 @@ TEST(SynthService, PersistentTierWarmStartsAcrossServices)
     // round-trips every angle and distance bit-for-bit.
     EXPECT_EQ(warm.best.toString(), cold.best.toString());
     EXPECT_EQ(warm.errorBound, cold.errorBound);
-    EXPECT_GT(warm.stats.synthCacheHits, 0);
-    EXPECT_LE(warm.stats.synthCacheMisses * 2,
-              cold.stats.synthCacheMisses);
+    EXPECT_GT(warm.stats.synthCache.hits, 0);
+    EXPECT_LE(warm.stats.synthCache.misses * 2,
+              cold.stats.synthCache.misses);
 }
 
 // --- the legacy pin --------------------------------------------------
@@ -574,9 +574,9 @@ TEST(SynthService, CacheOffSingleThreadPinsLegacyTrajectory)
     EXPECT_EQ(r.stats.resynthCalls, 8);
     EXPECT_EQ(r.stats.resynthAccepted, 1);
     EXPECT_EQ(r.stats.rewriteApplications, 52);
-    EXPECT_EQ(r.stats.synthCacheHits, 0);
-    EXPECT_EQ(r.stats.synthCacheMisses, 0);
-    EXPECT_EQ(r.stats.synthCacheStores, 0);
+    EXPECT_EQ(r.stats.synthCache.hits, 0);
+    EXPECT_EQ(r.stats.synthCache.misses, 0);
+    EXPECT_EQ(r.stats.synthCache.stores, 0);
 }
 
 } // namespace

@@ -468,16 +468,14 @@ runBatch(const CliOptions &opt)
     meta.synthWorkers = opt.synthWorkers;
     meta.synthCacheDir = opt.synthCacheDir;
     if (!opt.quiet && !opt.synthCacheDir.empty()) {
-        long hits = 0, misses = 0, stores = 0;
-        for (const serve::BatchFileEntry &e : entries) {
-            hits += e.synthCacheHits;
-            misses += e.synthCacheMisses;
-            stores += e.synthCacheStores;
-        }
+        core::GuoqStats total;
+        for (const serve::BatchFileEntry &e : entries)
+            total.merge(e.stats);
         std::fprintf(stderr,
                      "guoq_cli: synthesis cache: %ld hit(s), %ld "
                      "miss(es), %ld store(s)\n",
-                     hits, misses, stores);
+                     total.synthCache.hits, total.synthCache.misses,
+                     total.synthCache.stores);
     }
     const std::string json = serve::toBatchJson(meta, entries);
     const std::string summaryPath =
@@ -648,9 +646,9 @@ runSingle(const CliOptions &opt)
             std::fprintf(stderr,
                          "guoq_cli: synthesis cache: %ld hit(s), %ld "
                          "miss(es), %ld store(s); pool queue peak %ld\n",
-                         result.stats.synthCacheHits,
-                         result.stats.synthCacheMisses,
-                         result.stats.synthCacheStores,
+                         result.stats.synthCache.hits,
+                         result.stats.synthCache.misses,
+                         result.stats.synthCache.stores,
                          result.stats.poolQueuePeak);
         for (const core::PortfolioWorkerReport &w : result.workers)
             std::fprintf(stderr,
