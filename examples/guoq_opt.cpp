@@ -117,8 +117,12 @@ main(int argc, char **argv)
     if (file.empty())
         usage();
 
-    const ir::Circuit input = qasm::parseFile(file);
-    const ir::Circuit lowered = transpile::toGateSet(input, set);
+    const qasm::ParseResult parsed = qasm::parseSourceFile(file);
+    if (!parsed.ok) {
+        std::fprintf(stderr, "guoq-opt: %s\n", parsed.error.str().c_str());
+        return 1;
+    }
+    const ir::Circuit lowered = transpile::toGateSet(parsed.circuit, set);
     std::fprintf(stderr,
                  "guoq-opt: %s -> %s: %zu gates (%zu 2q, %zu T)\n",
                  file.c_str(), ir::gateSetName(set).c_str(),

@@ -5,10 +5,16 @@
 #include <map>
 #include <vector>
 
-#include "rewrite/matcher.h"
-
 namespace guoq {
 namespace rewrite {
+
+Matcher::Matcher(const ir::Circuit &c) : circuit_(c), dag_(c) {}
+
+std::optional<Match>
+Matcher::matchAt(const RewriteRule &rule, std::size_t anchor) const
+{
+    return rewrite::matchAt(circuit_, dag_, rule, anchor, scratch_);
+}
 
 PassResult
 applyRulePass(const ir::Circuit &c, const RewriteRule &rule,

@@ -2,7 +2,8 @@
  * @file
  * The legacy copy-everything rule pass (paper §5.3, "Randomly
  * selecting subcircuits"): one full pass over the circuit starting
- * from an anchor, replacing every disjoint match of the rule.
+ * from an anchor, replacing every disjoint match of the rule, and the
+ * one-circuit Matcher it probes with.
  *
  * This is a reference oracle, not production code: it lives in the
  * guoq_reference library, which only the tests and guoq_bench link.
@@ -15,13 +16,42 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
+#include "dag/circuit_dag.h"
 #include "ir/circuit.h"
+#include "rewrite/matcher.h"
 #include "rewrite/rule.h"
 #include "support/rng.h"
 
 namespace guoq {
 namespace rewrite {
+
+/**
+ * Reusable matcher over one circuit: builds the DAG once and probes
+ * anchors through rewrite::matchAt. The legacy pass's matcher; the
+ * engine calls matchAt on its own persistent index instead.
+ */
+class Matcher
+{
+  public:
+    explicit Matcher(const ir::Circuit &c);
+
+    /**
+     * Try to match @p rule with pattern gate 0 at @p anchor. Returns
+     * std::nullopt when the structure, angles, guard, or splice window
+     * do not admit a match.
+     */
+    std::optional<Match> matchAt(const RewriteRule &rule,
+                                 std::size_t anchor) const;
+
+    const ir::Circuit &circuit() const { return circuit_; }
+
+  private:
+    const ir::Circuit &circuit_;
+    dag::CircuitDag dag_;
+    mutable MatchScratch scratch_;
+};
 
 /** Outcome of a rule pass. */
 struct PassResult

@@ -557,23 +557,5 @@ parseSourceFile(const std::string &path, Dialect dialect)
     return parseSource(buf.str(), dialect, path);
 }
 
-ir::Circuit
-parse(const std::string &source)
-{
-    ParseResult r = parseSource(source);
-    if (!r.ok)
-        support::fatal("qasm: " + r.error.str());
-    return std::move(r.circuit);
-}
-
-ir::Circuit
-parseFile(const std::string &path)
-{
-    ParseResult r = parseSourceFile(path);
-    if (!r.ok)
-        support::fatal("qasm: " + r.error.str());
-    return std::move(r.circuit);
-}
-
 } // namespace qasm
 } // namespace guoq

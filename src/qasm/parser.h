@@ -16,10 +16,9 @@
  * parser already knows natively. measure/reset/control flow are
  * rejected: this library optimizes pure unitary circuits.
  *
- * The primary entry points return a ParseResult instead of calling
- * fatal(), so a batch run over a directory survives malformed files
- * and can report `file:line:col` diagnostics per file. The legacy
- * parse()/parseFile() wrappers keep the old abort-on-error contract.
+ * The entry points return a ParseResult instead of calling fatal(),
+ * so a batch run over a directory survives malformed files and can
+ * report `file:line:col` diagnostics per file.
  */
 
 #pragma once
@@ -78,12 +77,6 @@ ParseResult parseSourceFile(const std::string &path,
  * QASM 2.
  */
 Dialect detectDialect(const std::string &source);
-
-/** Legacy wrapper: parseSource(); fatal() with location on error. */
-ir::Circuit parse(const std::string &source);
-
-/** Legacy wrapper: parseSourceFile(); fatal() names @p path. */
-ir::Circuit parseFile(const std::string &path);
 
 } // namespace qasm
 } // namespace guoq

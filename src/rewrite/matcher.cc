@@ -173,13 +173,5 @@ matchAt(const ir::Circuit &c, const dag::CircuitDag &dag,
     return m;
 }
 
-Matcher::Matcher(const ir::Circuit &c) : circuit_(c), dag_(c) {}
-
-std::optional<Match>
-Matcher::matchAt(const RewriteRule &rule, std::size_t anchor) const
-{
-    return rewrite::matchAt(circuit_, dag_, rule, anchor, scratch_);
-}
-
 } // namespace rewrite
 } // namespace guoq

@@ -11,10 +11,10 @@
  * non-convex case where an outside gate both follows and precedes
  * matched gates).
  *
- * The core matcher is the free function matchAt() over a
- * (circuit, dag, scratch) triple so callers that probe millions of
- * anchors — the Matcher class and the RewriteEngine — share one
- * implementation and pay zero allocation per probe: the per-qubit
+ * The matcher is the free function matchAt() over a (circuit, dag,
+ * scratch) triple, so a caller that probes millions of anchors (the
+ * RewriteEngine; the reference oracle's Matcher wraps the same
+ * function) pays zero allocation per probe: the per-qubit
  * maps in MatchScratch are epoch-stamped instead of cleared, and the
  * Match vectors are only materialized on success.
  */
@@ -81,28 +81,6 @@ std::optional<Match> matchAt(const ir::Circuit &c,
                              const dag::CircuitDag &dag,
                              const RewriteRule &rule, std::size_t anchor,
                              MatchScratch &scratch);
-
-/** Reusable matcher over one circuit (builds the DAG once). */
-class Matcher
-{
-  public:
-    explicit Matcher(const ir::Circuit &c);
-
-    /**
-     * Try to match @p rule with pattern gate 0 at @p anchor. Returns
-     * std::nullopt when the structure, angles, guard, or splice window
-     * do not admit a match.
-     */
-    std::optional<Match> matchAt(const RewriteRule &rule,
-                                 std::size_t anchor) const;
-
-    const ir::Circuit &circuit() const { return circuit_; }
-
-  private:
-    const ir::Circuit &circuit_;
-    dag::CircuitDag dag_;
-    mutable MatchScratch scratch_;
-};
 
 } // namespace rewrite
 } // namespace guoq

@@ -1,54 +1,16 @@
 #include "support/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace guoq {
 namespace support {
 
-namespace {
-// Relaxed is enough: the level is a filter, not a synchronization
-// point — a racing setLogLevel() may lose or gain one message, never
-// corrupt state.
-std::atomic<LogLevel> g_level{LogLevel::Quiet};
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
-
 Mutex &
 logMutex()
 {
     static Mutex mutex;
     return mutex;
-}
-
-void
-inform(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Info) {
-        MutexLock lock(logMutex());
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-    }
-}
-
-void
-debugLog(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Debug) {
-        MutexLock lock(logMutex());
-        std::fprintf(stderr, "debug: %s\n", msg.c_str());
-    }
 }
 
 void

@@ -13,28 +13,15 @@
 namespace guoq {
 namespace support {
 
-/** Verbosity levels for inform(). */
-enum class LogLevel { Quiet, Info, Debug };
-
-/** Global log level; benches lower it, tests keep it quiet. The
- *  getter/setter pair is atomic, so a driver may lower the level while
- *  worker threads log (the batch/serve pipelines do). */
-LogLevel logLevel();
-void setLogLevel(LogLevel level);
-
 /**
  * The process-wide mutex serializing human-readable stderr status
- * output. warn()/inform() take it internally (so they must not be
- * called with it held — the EXCLUDES annotations enforce that);
- * drivers that print their own per-item status lines from concurrent
- * workers (the batch/serve pipelines' progress output) must hold it
- * for each whole line so output can never interleave mid-line.
+ * output. warn() takes it internally (so it must not be called with
+ * it held — the EXCLUDES annotation enforces that); drivers that
+ * print their own per-item status lines from concurrent workers (the
+ * batch/serve pipelines' progress output) must hold it for each whole
+ * line so output can never interleave mid-line.
  */
 Mutex &logMutex();
-
-/** Print an informational message when level permits. */
-void inform(const std::string &msg) EXCLUDES(logMutex());
-void debugLog(const std::string &msg) EXCLUDES(logMutex());
 
 /** Warn about suspicious-but-survivable conditions. */
 void warn(const std::string &msg) EXCLUDES(logMutex());

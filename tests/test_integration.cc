@@ -83,8 +83,10 @@ TEST(Integration, QasmExportReimportOptimize)
     // Export a suite circuit to QASM, reparse, optimize, validate.
     const auto quick = workloads::quickSuiteFor(ir::GateSetKind::Nam, 1);
     ASSERT_FALSE(quick.empty());
-    const ir::Circuit back =
-        qasm::parse(qasm::toQasm(quick[0].circuit));
+    const qasm::ParseResult pr =
+        qasm::parseSource(qasm::toQasm(quick[0].circuit));
+    ASSERT_TRUE(pr.ok) << pr.error.str();
+    const ir::Circuit &back = pr.circuit;
     core::GuoqConfig cfg;
     cfg.epsilonTotal = 0;
     cfg.timeBudgetSeconds = 1.0;

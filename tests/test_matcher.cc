@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "reference/applier.h"
 #include "rewrite/matcher.h"
 #include "rewrite/rule.h"
 

@@ -45,13 +45,15 @@ TEST(QasmPrinter, EmitsExtraDefsOnlyWhenNeeded)
 
 TEST(QasmParser, ParsesSimpleProgram)
 {
-    const ir::Circuit c = qasm::parse(R"(
+    const qasm::ParseResult r = qasm::parseSource(R"(
         OPENQASM 2.0;
         include "qelib1.inc";
         qreg q[2];
         h q[0];
         cx q[0], q[1];
     )");
+    ASSERT_TRUE(r.ok) << r.error.str();
+    const ir::Circuit &c = r.circuit;
     ASSERT_EQ(c.size(), 2u);
     EXPECT_EQ(c.numQubits(), 2);
     EXPECT_EQ(c.gate(0).kind, ir::GateKind::H);
@@ -60,9 +62,11 @@ TEST(QasmParser, ParsesSimpleProgram)
 
 TEST(QasmParser, EvaluatesAngleExpressions)
 {
-    const ir::Circuit c = qasm::parse(
+    const qasm::ParseResult r = qasm::parseSource(
         "qreg q[1]; rz(pi/2) q[0]; rz(-pi) q[0]; rz(3*pi/4+0.5) q[0]; "
         "rz((1+2)*0.25) q[0];");
+    ASSERT_TRUE(r.ok) << r.error.str();
+    const ir::Circuit &c = r.circuit;
     ASSERT_EQ(c.size(), 4u);
     EXPECT_NEAR(c.gate(0).params[0], M_PI / 2, 1e-12);
     EXPECT_NEAR(c.gate(1).params[0], -M_PI, 1e-12);
@@ -72,8 +76,10 @@ TEST(QasmParser, EvaluatesAngleExpressions)
 
 TEST(QasmParser, FlattensMultipleRegisters)
 {
-    const ir::Circuit c = qasm::parse(
+    const qasm::ParseResult r = qasm::parseSource(
         "qreg a[2]; qreg b[2]; cx a[1], b[0];");
+    ASSERT_TRUE(r.ok) << r.error.str();
+    const ir::Circuit &c = r.circuit;
     ASSERT_EQ(c.size(), 1u);
     EXPECT_EQ(c.numQubits(), 4);
     EXPECT_EQ(c.gate(0).qubits[0], 1);
@@ -82,7 +88,7 @@ TEST(QasmParser, FlattensMultipleRegisters)
 
 TEST(QasmParser, IgnoresBarriersCommentsCreg)
 {
-    const ir::Circuit c = qasm::parse(R"(
+    const qasm::ParseResult r = qasm::parseSource(R"(
         // a comment
         qreg q[2];
         creg c[2];
@@ -90,23 +96,29 @@ TEST(QasmParser, IgnoresBarriersCommentsCreg)
         barrier q[0], q[1];
         x q[1];
     )");
+    ASSERT_TRUE(r.ok) << r.error.str();
+    const ir::Circuit &c = r.circuit;
     EXPECT_EQ(c.size(), 2u);
 }
 
 TEST(QasmParser, SkipsGateDefinitions)
 {
-    const ir::Circuit c = qasm::parse(R"(
+    const qasm::ParseResult r = qasm::parseSource(R"(
         qreg q[1];
         gate mygate(a) x { rz(a) x; rz(a) x; }
         t q[0];
     )");
+    ASSERT_TRUE(r.ok) << r.error.str();
+    const ir::Circuit &c = r.circuit;
     ASSERT_EQ(c.size(), 1u);
     EXPECT_EQ(c.gate(0).kind, ir::GateKind::T);
 }
 
 TEST(QasmParser, BroadcastsSingleQubitGatesOverRegisters)
 {
-    const ir::Circuit c = qasm::parse("qreg q[3]; h q; x q[1];");
+    const qasm::ParseResult r = qasm::parseSource("qreg q[3]; h q; x q[1];");
+    ASSERT_TRUE(r.ok) << r.error.str();
+    const ir::Circuit &c = r.circuit;
     ASSERT_EQ(c.size(), 4u);
     EXPECT_EQ(c.gate(0).kind, ir::GateKind::H);
     EXPECT_EQ(c.gate(2).qubits[0], 2);
@@ -115,9 +127,11 @@ TEST(QasmParser, BroadcastsSingleQubitGatesOverRegisters)
 TEST(QasmParser, ResolvesAliasNames)
 {
     // U/u are the builtin u3 matrix; p/phase are u1; id is a no-op.
-    const ir::Circuit c = qasm::parse(
+    const qasm::ParseResult r = qasm::parseSource(
         "qreg q[2]; U(0.1, 0.2, 0.3) q[0]; p(0.5) q[1]; id q[0]; "
         "CX q[0], q[1];");
+    ASSERT_TRUE(r.ok) << r.error.str();
+    const ir::Circuit &c = r.circuit;
     ASSERT_EQ(c.size(), 3u);
     EXPECT_EQ(c.gate(0).kind, ir::GateKind::U3);
     EXPECT_EQ(c.gate(1).kind, ir::GateKind::U1);
@@ -203,41 +217,55 @@ TEST(QasmParseResult, MissingFileReportsPathWithoutPosition)
     EXPECT_NE(r.error.str().find("cannot open"), std::string::npos);
 }
 
-TEST(QasmParseResult, LegacyParseFileFatalNamesThePath)
+TEST(QasmParseResult, FileErrorRendersFileLineColAndMessage)
 {
     const std::string path =
-        testing::TempDir() + "guoq_qasm_bad_legacy.qasm";
+        testing::TempDir() + "guoq_qasm_bad_located.qasm";
     {
         std::ofstream out(path);
         out << "qreg q[1];\nbadgate q[0];\n";
     }
-    EXPECT_EXIT(qasm::parseFile(path), ::testing::ExitedWithCode(1),
-                "bad_legacy\\.qasm:2:1");
+    const qasm::ParseResult r = qasm::parseSourceFile(path);
+    ASSERT_FALSE(r.ok);
+    EXPECT_EQ(r.error.str(), path + ":2:1: unknown gate 'badgate'");
     std::remove(path.c_str());
+}
+
+/** Assert that @p source fails to parse at @p line:@p col with a
+ *  message containing @p message. */
+void
+expectParseError(const std::string &source, int line, int col,
+                 const std::string &message)
+{
+    const qasm::ParseResult r = qasm::parseSource(source);
+    ASSERT_FALSE(r.ok) << source;
+    EXPECT_EQ(r.error.line, line) << source;
+    EXPECT_EQ(r.error.col, col) << source;
+    EXPECT_NE(r.error.message.find(message), std::string::npos)
+        << r.error.message;
 }
 
 TEST(QasmParser, RejectsMeasurement)
 {
-    EXPECT_EXIT(qasm::parse("qreg q[1]; creg c[1]; measure q[0] -> c[0];"),
-                ::testing::ExitedWithCode(1), "measure");
+    expectParseError("qreg q[1]; creg c[1]; measure q[0] -> c[0];", 1, 23,
+                     "'measure' is not supported");
 }
 
 TEST(QasmParser, RejectsUnknownGate)
 {
-    EXPECT_EXIT(qasm::parse("qreg q[1]; zzz q[0];"),
-                ::testing::ExitedWithCode(1), "unknown gate");
+    expectParseError("qreg q[1]; zzz q[0];", 1, 12, "unknown gate 'zzz'");
 }
 
 TEST(QasmParser, RejectsOutOfRangeQubit)
 {
-    EXPECT_EXIT(qasm::parse("qreg q[2]; h q[5];"),
-                ::testing::ExitedWithCode(1), "out of range");
+    expectParseError("qreg q[2]; h q[5];", 1, 16,
+                     "qubit index 5 out of range");
 }
 
 TEST(QasmParser, RejectsArityMismatch)
 {
-    EXPECT_EXIT(qasm::parse("qreg q[2]; cx q[0];"),
-                ::testing::ExitedWithCode(1), "expects");
+    expectParseError("qreg q[2]; cx q[0];", 1, 12,
+                     "gate 'cx' expects 2 qubits, got 1");
 }
 
 class QasmRoundTrip : public ::testing::TestWithParam<int>
@@ -251,7 +279,9 @@ TEST_P(QasmRoundTrip, PrintParsePreservesSemantics)
     const ir::GateSetKind set =
         sets[static_cast<std::size_t>(GetParam()) % sets.size()];
     const ir::Circuit c = testutil::randomNativeCircuit(set, 4, 25, rng);
-    const ir::Circuit back = qasm::parse(qasm::toQasm(c));
+    const qasm::ParseResult r = qasm::parseSource(qasm::toQasm(c));
+    ASSERT_TRUE(r.ok) << r.error.str();
+    const ir::Circuit &back = r.circuit;
     ASSERT_EQ(back.size(), c.size());
     EXPECT_LT(sim::circuitDistance(c, back), testutil::kExact);
 }
@@ -261,14 +291,18 @@ INSTANTIATE_TEST_SUITE_P(AllSets, QasmRoundTrip, ::testing::Range(0, 15));
 TEST(QasmRoundTripWorkloads, QftSurvives)
 {
     const ir::Circuit c = workloads::qft(4);
-    const ir::Circuit back = qasm::parse(qasm::toQasm(c));
+    const qasm::ParseResult r = qasm::parseSource(qasm::toQasm(c));
+    ASSERT_TRUE(r.ok) << r.error.str();
+    const ir::Circuit &back = r.circuit;
     EXPECT_LT(sim::circuitDistance(c, back), testutil::kExact);
 }
 
 TEST(QasmRoundTripWorkloads, ToffoliChainSurvives)
 {
     const ir::Circuit c = workloads::barencoTof(3);
-    const ir::Circuit back = qasm::parse(qasm::toQasm(c));
+    const qasm::ParseResult r = qasm::parseSource(qasm::toQasm(c));
+    ASSERT_TRUE(r.ok) << r.error.str();
+    const ir::Circuit &back = r.circuit;
     EXPECT_LT(sim::circuitDistance(c, back), testutil::kExact);
 }
 
