@@ -295,6 +295,15 @@ TEST_F(CliTest, WarmSynthCacheReplaysTheColdRun)
     EXPECT_GT(coldMisses, 0) << coldSummary;
     EXPECT_GT(sumOf(warmSummary, "synth_cache_hits"), 0) << warmSummary;
     EXPECT_LE(warmMisses * 2, coldMisses) << warmSummary;
+    // The stderr tally is the summary's rows merged.
+    std::string tally = "synthesis cache: ";
+    tally += std::to_string(sumOf(warmSummary, "synth_cache_hits"));
+    tally += " hit(s), ";
+    tally += std::to_string(warmMisses);
+    tally += " miss(es), ";
+    tally += std::to_string(sumOf(warmSummary, "synth_cache_stores"));
+    tally += " store(s)";
+    EXPECT_NE(warm.err.find(tally), std::string::npos) << warm.err;
     for (const char *f : {"ghz5_qasm3.qasm", "ghz12_redundant.qasm"})
         EXPECT_EQ(readFile(dir_ / "warm" / f), readFile(dir_ / "cold" / f))
             << f;
