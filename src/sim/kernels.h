@@ -2,7 +2,7 @@
  * @file
  * Specialized statevector gate kernels — the hot inner loops behind
  * sim::StateVector (sampling verification, numopt instantiation, the
- * fidelity objective) and the row operations of sim::applyGate.
+ * fidelity objective).
  *
  * Every kernel operates in place on a contiguous, index-aligned chunk
  * `amps[0..n)` of a 2^k statevector: n is a power of two, the chunk's
@@ -104,8 +104,8 @@ void applyDense2q(Complex *amps, std::size_t n, int bitMsb, int bitLsb,
                   const Complex m[16]);
 
 /** amps[0..n) *= s (used for the high-bit halves of diagonal ops in
- *  blocked passes, and for the row scaling of sim::applyGate).
- *  Deliberately scalar, so diagonal kernels stay bit-exact. */
+ *  blocked passes). Deliberately scalar, so diagonal kernels stay
+ *  bit-exact. */
 void scaleRange(Complex *amps, std::size_t n, Complex s);
 
 } // namespace kernels
