@@ -51,6 +51,11 @@ jsonString(const std::string &s)
     return out;
 }
 
+JsonObject::JsonObject(std::string &out, Layout layout)
+    : JsonObject(out, layout, 0)
+{
+}
+
 JsonObject::JsonObject(std::string &out, Layout layout, int depth)
     : out_(out), layout_(layout), depth_(depth)
 {

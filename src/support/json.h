@@ -40,11 +40,8 @@ class JsonObject
         Inline,
     };
 
-    /** Open an object at nesting @p depth (pretty layout only). */
-    JsonObject(std::string &out, Layout layout, int depth = 0);
-
-    /** Write the separator and `"key": `; the value follows. */
-    void key(const char *k);
+    /** Open a top-level object, appending to @p out. */
+    JsonObject(std::string &out, Layout layout);
 
     /** A string field. */
     void str(const char *k, const std::string &v);
@@ -80,6 +77,10 @@ class JsonObject
     void close();
 
   private:
+    /** A nested object at @p depth (indents only in pretty layout). */
+    JsonObject(std::string &out, Layout layout, int depth);
+    /** Write the separator and `"key": `; the value follows. */
+    void key(const char *k);
     JsonObject openElement(std::size_t index);
     void closeArray(bool empty);
     void indent(int depth);
