@@ -29,6 +29,13 @@ applyRulePass(const ir::Circuit &c, const RewriteRule &rule,
 
     Matcher matcher(c);
     std::vector<bool> used(n, false);
+    // Per accepted match: its insertPos and its first gate per wire.
+    struct Accepted
+    {
+        std::size_t insertPos;
+        std::map<int, std::size_t> firstOn;
+    };
+    std::vector<Accepted> accepted;
     // insertPos -> replacement gate lists to emit at that position.
     std::multimap<std::size_t, std::vector<ir::Gate>> insertions;
 
@@ -48,6 +55,29 @@ applyRulePass(const ir::Circuit &c, const RewriteRule &rule,
         }
         if (overlap)
             continue;
+        // Replacements are emitted by (insertPos, discovery order), so
+        // on every shared wire the match that comes first must be
+        // emitted first, or the pass reorders that wire.
+        Accepted mine{m->insertPos, {}};
+        for (std::size_t gi : m->gateIndices)
+            for (int q : c.gate(gi).qubits) {
+                auto [it, fresh] = mine.firstOn.emplace(q, gi);
+                if (!fresh && gi < it->second)
+                    it->second = gi;
+            }
+        bool misordered = false;
+        for (const Accepted &a : accepted)
+            for (const auto &[q, first] : mine.firstOn) {
+                const auto it = a.firstOn.find(q);
+                if (it == a.firstOn.end())
+                    continue;
+                misordered |= it->second < first
+                                  ? a.insertPos > mine.insertPos
+                                  : a.insertPos <= mine.insertPos;
+            }
+        if (misordered)
+            continue;
+        accepted.push_back(std::move(mine));
         for (std::size_t gi : m->gateIndices)
             used[gi] = true;
         insertions.emplace(m->insertPos,

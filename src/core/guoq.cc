@@ -42,6 +42,7 @@ struct PendingResynth
     std::future<synth::SynthOutcome> future;
     ir::Circuit snapshot;            //!< circuit at launch time
     dag::SubcircuitSelection selection;
+    std::size_t step = 0;            //!< derivation step of the snapshot
 };
 
 } // namespace
@@ -94,6 +95,20 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
     // accepted move leaves the best (or at loop exit, as a move).
     bool best_is_curr = true;
     ir::CircuitCounts best_counts = engine.counts();
+
+    // Derivation: step 0 is the input; step_curr / step_best are the
+    // steps that produced the current and the best circuit.
+    const bool derive = cfg.recordDerivation;
+    std::vector<ir::DerivationStep> &steps = result.derivation.steps;
+    if (derive)
+        steps.emplace_back();
+    std::size_t step_curr = 0;
+    std::size_t step_best = 0;
+    auto push_step = [&](ir::DerivationStep &&st, std::size_t parent) {
+        st.parent = parent;
+        steps.push_back(std::move(st));
+        step_curr = steps.size() - 1;
+    };
 
     auto record = [&](bool force = false) {
         if (!cfg.recordTrace)
@@ -149,6 +164,7 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
         if (cost_curr < cost_best) {
             cost_best = cost_curr;
             error_best = error_curr;
+            step_best = step_curr;
             best_is_curr = true;
             best_counts = engine.counts();
             record();
@@ -164,12 +180,20 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
         }
     };
 
-    // A resynthesis splice: a whole-circuit candidate.
-    auto consider_resynth = [&](ir::Circuit &&candidate, double eps_spent) {
+    // A resynthesis splice: a whole-circuit candidate, which replaced
+    // @p sel of a @p pre_gates-gate circuit (derivation step @p parent)
+    // with @p block.
+    auto consider_resynth = [&](ir::Circuit &&candidate, double eps_spent,
+                                std::size_t pre_gates,
+                                const dag::SubcircuitSelection &sel,
+                                const ir::Circuit &block,
+                                std::size_t parent) {
         const double cost_cand = cost(candidate);
         if (!decide(cost_cand))
             return;
         snapshot_if_leaving_best(cost_cand);
+        if (derive)
+            push_step(dag::spliceStep(pre_gates, sel, block), parent);
         engine.assign(std::move(candidate));
         on_accepted(cost_cand, eps_spent, /*from_resynth=*/true);
     };
@@ -188,6 +212,11 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
             return;
         }
         snapshot_if_leaving_best(cost_cand);
+        if (derive) {
+            ir::DerivationStep st;
+            engine.describePending(st);
+            push_step(std::move(st), step_curr);
+        }
         engine.commit();
         on_accepted(cost_cand, /*eps_spent=*/0.0, /*from_resynth=*/false);
     };
@@ -218,7 +247,8 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
             // block.
             consider_resynth(dag::splice(p.snapshot, p.selection,
                                          r.circuit),
-                             r.distance);
+                             r.distance, p.snapshot.size(), p.selection,
+                             r.circuit, p.step);
         }
         pending.resize(keep);
     };
@@ -255,7 +285,8 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
                 if (!fut)
                     continue; // shared pool queue full: drop the call
                 pending.push_back({std::move(*fut), engine.circuit(),
-                                   std::move(step->selection)});
+                                   std::move(step->selection),
+                                   step_curr});
                 continue;
             }
         }
@@ -288,7 +319,8 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
             continue;
         }
         consider_resynth(std::move(outcome->circuit),
-                         outcome->epsilonSpent);
+                         outcome->epsilonSpent, engine.circuit().size(),
+                         outcome->selection, outcome->block, step_curr);
     }
 
     harvestAsync(/*wait=*/true);
@@ -296,6 +328,7 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
     if (best_is_curr)
         result.best = engine.release(); // the lazy-copy exit: a move
     result.errorBound = error_best;
+    result.derivation.best = step_best;
     result.stats.poolQueuePeak = svc->poolQueuePeak();
     result.stats.seconds = timer.seconds();
     record(true);

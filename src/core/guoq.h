@@ -15,6 +15,7 @@
 #include "core/framework.h"
 #include "core/observer.h"
 #include "ir/circuit.h"
+#include "ir/derivation.h"
 #include "ir/gate_set.h"
 #include "synth/resynth.h"
 
@@ -87,6 +88,14 @@ struct GuoqConfig
     bool recordTrace = false;
 
     /**
+     * Record the derivation of the returned circuit (ir/derivation.h):
+     * every accepted step as blocks and a gate order, so that the
+     * `certificate` checker can verify the output by replaying it.
+     * Never changes the search trajectory.
+     */
+    bool recordDerivation = false;
+
+    /**
      * Progress callback + cooperative cancellation. `hooks.onBest`
      * fires on every strict best-cost improvement; `hooks.cancel`
      * is polled each iteration and ends the run early with the best
@@ -137,6 +146,7 @@ struct GuoqResult
     double errorBound = 0; //!< accumulated ε of the returned circuit
     GuoqStats stats;
     std::vector<TracePoint> trace;
+    ir::Derivation derivation; //!< when cfg.recordDerivation
 };
 
 /**

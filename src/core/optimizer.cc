@@ -343,6 +343,7 @@ class GuoqFamilyOptimizer : public Optimizer
         cfg.base.seed = req.seed;
         cfg.base.selection = selection_;
         cfg.base.hooks = req.hooks;
+        cfg.base.recordDerivation = req.recordDerivation;
         cfg.base.temperature =
             paramDouble(req.params, "temperature", cfg.base.temperature);
         cfg.base.resynthProbability = paramDouble(

@@ -102,6 +102,11 @@ struct OptimizeRequest
 
     /** Progress callback + cooperative cancellation. */
     ObserverHooks hooks;
+
+    /** Return the derivation of the output (OptimizeReport::derivation)
+     *  for the `certificate` checker. Only the guoq family records
+     *  one, and only with threads == 1; others ignore the flag. */
+    bool recordDerivation = false;
 };
 
 /** The polymorphic optimizer interface. */

@@ -169,6 +169,7 @@ runWorker(int worker, const ir::Circuit &input, ir::GateSetKind set,
     while (!ran_once || (sliced && !deadline.expired() &&
                          !cfg.base.hooks.cancelled())) {
         GuoqConfig slice = cfg.base;
+        slice.recordDerivation = false; // adoption splicing is not kept
         // The first slice uses the worker seed itself (so a 1-thread
         // portfolio reproduces core::optimize() exactly); later slices
         // draw a fresh stream, otherwise each slice would replay the
@@ -312,6 +313,7 @@ optimizePortfolio(const ir::Circuit &c, ir::GateSetKind set,
         result.errorBound = r.errorBound;
         result.stats = r.stats;
         result.trace = std::move(r.trace);
+        result.derivation = std::move(r.derivation);
         PortfolioWorkerReport report;
         report.worker = 0;
         report.seed = cfg.base.seed;

@@ -24,6 +24,7 @@
 
 #include "core/guoq.h"
 #include "ir/circuit.h"
+#include "ir/derivation.h"
 #include "ir/gate_set.h"
 #include "verify/checker.h"
 
@@ -117,6 +118,12 @@ struct OptimizeReport
      * was performed.
      */
     verify::VerifyReport verification;
+    /**
+     * The output's derivation from the input, when the request asked
+     * for one and the run is a single core::optimize() (threads == 1):
+     * adopting another portfolio worker's circuit is not recorded.
+     */
+    ir::Derivation derivation;
 };
 
 /** The seed worker @p worker uses for its first slice. */

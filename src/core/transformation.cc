@@ -93,29 +93,37 @@ Transformation::apply(const ir::Circuit &c, support::Rng &rng) const
         if (!engine.preparePassRandom(*rule_, rng))
             return std::nullopt;
         engine.commit();
-        return TransformOutcome{engine.release(), 0.0};
+        TransformOutcome out;
+        out.circuit = engine.release();
+        return out;
       }
       case TransformKind::Fusion: {
         ir::Circuit fused = transpile::fuseOneQubitRuns(c, set_);
         if (fused.size() >= c.size())
             return std::nullopt;
-        return TransformOutcome{std::move(fused), 0.0};
+        TransformOutcome out;
+        out.circuit = std::move(fused);
+        return out;
       }
       case TransformKind::Resynthesis: {
-        const std::optional<ResynthStep> step = drawResynthStep(c, rng);
+        std::optional<ResynthStep> step = drawResynthStep(c, rng);
         if (!step)
             return std::nullopt;
         synth::SynthService *svc =
             service_ != nullptr ? service_ : &synth::SynthService::global();
-        const synth::SynthOutcome so =
+        synth::SynthOutcome so =
             svc->resynthesize(step->subcircuit, step->options, rng);
         if (counters_ != nullptr)
             counters_->add(so);
-        const synth::ResynthResult &r = so.result;
+        synth::ResynthResult &r = so.result;
         if (!r.success || r.circuit.gates() == step->subcircuit.gates())
             return std::nullopt; // failed or unchanged: free no-op
-        return TransformOutcome{dag::splice(c, step->selection, r.circuit),
-                                r.distance};
+        TransformOutcome out;
+        out.circuit = dag::splice(c, step->selection, r.circuit);
+        out.epsilonSpent = r.distance;
+        out.selection = std::move(step->selection);
+        out.block = std::move(r.circuit);
+        return out;
       }
     }
     support::panic("Transformation::apply: unknown kind");

@@ -51,6 +51,10 @@ struct TransformOutcome
      * apply more approximate steps than nominal accounting would.
      */
     double epsilonSpent = 0;
+    /** Resynthesis only: where the step acted, and the synthesized
+     *  block (on the selection's local qubits) spliced in there. */
+    dag::SubcircuitSelection selection;
+    ir::Circuit block;
 };
 
 /** A drawn resynthesis step: where it acts and what to synthesize. */

@@ -138,6 +138,35 @@ splice(const ir::Circuit &c, const SubcircuitSelection &sel,
     return out;
 }
 
+ir::DerivationStep
+spliceStep(std::size_t num_gates, const SubcircuitSelection &sel,
+           const ir::Circuit &replacement)
+{
+    if (sel.empty())
+        support::panic("spliceStep with empty selection");
+    ir::DerivationStep step;
+    ir::DerivationBlock b;
+    b.gates.assign(sel.indices.begin(), sel.indices.end());
+    b.replacement = replacement.gates();
+    for (ir::Gate &g : b.replacement)
+        for (auto &q : g.qubits)
+            q = sel.qubits[static_cast<std::size_t>(q)];
+    step.blocks.push_back(std::move(b));
+
+    // splice()'s order: the replacement at the first selected gate.
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < num_gates; ++i) {
+        if (i == sel.indices.front())
+            step.emitBlock(0);
+        if (k < sel.indices.size() && sel.indices[k] == i)
+            ++k;
+        else
+            step.emit(ir::DerivationRun::kKept,
+                      static_cast<std::uint32_t>(i));
+    }
+    return step;
+}
+
 std::vector<SubcircuitSelection>
 partitionConvex(const ir::Circuit &c, int max_qubits, std::size_t max_gates)
 {

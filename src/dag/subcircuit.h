@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "ir/circuit.h"
+#include "ir/derivation.h"
 #include "support/rng.h"
 
 namespace guoq {
@@ -66,6 +67,15 @@ ir::Circuit extract(const ir::Circuit &c, const SubcircuitSelection &sel);
  */
 ir::Circuit splice(const ir::Circuit &c, const SubcircuitSelection &sel,
                    const ir::Circuit &replacement);
+
+/**
+ * splice() as a derivation step over a circuit of @p num_gates gates:
+ * one block (the selection and its replacement on global qubits) and
+ * the spliced gate order. The caller sets the parent.
+ */
+ir::DerivationStep spliceStep(std::size_t num_gates,
+                              const SubcircuitSelection &sel,
+                              const ir::Circuit &replacement);
 
 /**
  * Partition the whole circuit into disjoint convex blocks of at most

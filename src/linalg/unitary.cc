@@ -37,6 +37,24 @@ hsDistance(const ComplexMatrix &u, const ComplexMatrix &v)
     return std::sqrt(std::max(0.0, 1.0 - a * a));
 }
 
+double
+phaseAlignedDistance(const Complex *u, const Complex *v, std::size_t dim)
+{
+    const std::size_t n2 = dim * dim;
+    Complex t = 0;
+    for (std::size_t i = 0; i < n2; ++i)
+        t += std::conj(u[i]) * v[i];
+    const double mag = std::abs(t);
+    if (mag == 0)
+        return 1;
+    const Complex phase = std::conj(t) / mag; // e^{iφ}
+    double f = 0;
+    for (std::size_t i = 0; i < n2; ++i)
+        f += std::norm(u[i] - phase * v[i]);
+    const double one_minus_a = f / (2.0 * static_cast<double>(dim));
+    return std::sqrt(std::max(0.0, one_minus_a * (2 - one_minus_a)));
+}
+
 bool
 approxEquivalent(const ComplexMatrix &u, const ComplexMatrix &v, double eps)
 {

@@ -19,6 +19,17 @@ namespace linalg {
  */
 double hsDistance(const ComplexMatrix &u, const ComplexMatrix &v);
 
+/**
+ * Δ(U, V) as hsDistance defines it, over raw row-major @p dim x @p dim
+ * storage, computed without its cancellation: with φ = −arg Tr(U†V),
+ * 1 − a = ‖U − e^{iφ}V‖²_F / (2·dim) and Δ = √((1 − a)(1 + a)).
+ * hsDistance forms 1 − a² from a ≈ 1 and so floors equal unitaries at
+ * ~1.5e-8; this one returns ~1e-16 for them, which is what lets many
+ * per-block distances be summed (verify/certificate.cc).
+ */
+double phaseAlignedDistance(const Complex *u, const Complex *v,
+                            std::size_t dim);
+
 /** ε-equivalence test of Def. 3.3. */
 bool approxEquivalent(const ComplexMatrix &u, const ComplexMatrix &v,
                       double eps);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <span>
 #include <utility>
 
@@ -96,6 +97,10 @@ RewriteEngine::preparePass(const RewriteRule &rule,
     pendingFidLogCost_ = fidLogCost_;
     usedStamp_.resize(n, 0);
     ++passEpoch_;
+    for (int q : wiresUsed_)
+        wireMatches_[static_cast<std::size_t>(q)].clear();
+    wiresUsed_.clear();
+    wireMatches_.resize(static_cast<std::size_t>(circuit_.numQubits()));
 
     // The legacy pass visits anchors (start + off) % n for off 0..n-1
     // and lets matchAt reject every anchor whose kind differs from the
@@ -125,6 +130,20 @@ RewriteEngine::preparePass(const RewriteRule &rule,
             }
         }
         if (overlap)
+            continue;
+        matchWires_.clear();
+        for (std::size_t gi : m->gateIndices) {
+            for (int q : circuit_.gate(gi).qubits) {
+                auto it = std::find_if(
+                    matchWires_.begin(), matchWires_.end(),
+                    [q](const auto &w) { return w.first == q; });
+                if (it == matchWires_.end())
+                    matchWires_.emplace_back(q, gi);
+                else
+                    it->second = std::min(it->second, gi);
+            }
+        }
+        if (!admitOnWires(m->insertPos))
             continue;
         PendingMatch pm;
         pm.insertPos = m->insertPos;
@@ -174,6 +193,33 @@ RewriteEngine::preparePass(const RewriteRule &rule,
     a.counts = pendingCounts_;
     a.fidelityLogCost = pendingFidLogCost_;
     return a;
+}
+
+bool
+RewriteEngine::admitOnWires(std::size_t insert_pos)
+{
+    for (const auto &[q, first] : matchWires_) {
+        const auto &list = wireMatches_[static_cast<std::size_t>(q)];
+        const auto it = std::lower_bound(
+            list.begin(), list.end(), first,
+            [](const auto &e, std::size_t g) { return e.first < g; });
+        // An earlier-discovered match at the same insertPos is emitted
+        // first, so it may only precede this one on the wire.
+        if (it != list.begin() && std::prev(it)->second > insert_pos)
+            return false;
+        if (it != list.end() && it->second <= insert_pos)
+            return false;
+    }
+    for (const auto &[q, first] : matchWires_) {
+        auto &list = wireMatches_[static_cast<std::size_t>(q)];
+        if (list.empty())
+            wiresUsed_.push_back(q);
+        const auto it = std::lower_bound(
+            list.begin(), list.end(), first,
+            [](const auto &e, std::size_t g) { return e.first < g; });
+        list.emplace(it, first, insert_pos);
+    }
+    return true;
 }
 
 std::optional<RewriteEngine::Attempt>
@@ -265,6 +311,42 @@ RewriteEngine::materializeInto(std::vector<ir::Gate> &out, bool move_gates)
     }
     if (w != out.size())
         support::panic("RewriteEngine: pending gate count mismatch");
+}
+
+void
+RewriteEngine::describePending(ir::DerivationStep &step)
+{
+    if (!pending())
+        support::panic("RewriteEngine::describePending: no pass is "
+                       "pending");
+    step.blocks.clear();
+    step.order.clear();
+    if (pendingFusion_) {
+        candidate_ = transpile::fuseOneQubitRuns(circuit_, fusionSet_, &step);
+        if (candidate_.counts() != pendingCounts_)
+            support::panic("RewriteEngine: fusion verdict diverges "
+                           "from fuseOneQubitRuns");
+        candidateReady_ = true;
+        return;
+    }
+    step.blocks.reserve(pendingMatches_.size());
+    for (const PendingMatch &pm : pendingMatches_) {
+        ir::DerivationBlock b;
+        b.gates.assign(pm.gateIndices.begin(), pm.gateIndices.end());
+        b.replacement = pm.replacement;
+        step.blocks.push_back(std::move(b));
+    }
+    // The emission order of materializeInto, as references.
+    const std::size_t n = circuit_.size();
+    std::size_t j = 0;
+    for (std::size_t i = 0; i <= n; ++i) {
+        while (j < emitOrder_.size() &&
+               pendingMatches_[emitOrder_[j]].insertPos == i)
+            step.emitBlock(emitOrder_[j++]);
+        if (i < n && usedStamp_[i] != passEpoch_)
+            step.emit(ir::DerivationRun::kKept,
+                      static_cast<std::uint32_t>(i));
+    }
 }
 
 const ir::Circuit &

@@ -55,10 +55,12 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "dag/circuit_dag.h"
 #include "ir/circuit.h"
+#include "ir/derivation.h"
 #include "ir/gate_set.h"
 #include "rewrite/matcher.h"
 #include "rewrite/rule.h"
@@ -145,6 +147,14 @@ class RewriteEngine
     }
 
     /**
+     * Describe the pending move as a derivation step (its blocks and
+     * post-step gate order; the caller sets the parent), before
+     * commit() moves the replacement gates away. A fusion move also
+     * materializes candidate() on the way.
+     */
+    void describePending(ir::DerivationStep &step);
+
+    /**
      * The circuit the pending move would produce, materialized lazily
      * (count-based objectives never need it). Valid until the move is
      * resolved.
@@ -178,6 +188,17 @@ class RewriteEngine
      */
     void materializeInto(std::vector<ir::Gate> &out, bool move_gates);
     void clearPending();
+    /**
+     * The pass's wire-order guard. The pass emits its replacements by
+     * (insertPos, discovery order), so a match inserted at
+     * @p insert_pos, whose first gate on each wire is in matchWires_,
+     * keeps every wire's order only if each accepted match it shares
+     * a wire with is emitted before it exactly when it comes first on
+     * that wire. Checking the nearest accepted match on each side of
+     * it per wire suffices, since the accepted ones already agree.
+     * Records the match and returns true when it passes.
+     */
+    bool admitOnWires(std::size_t insert_pos);
 
     ir::Circuit circuit_;
     dag::CircuitDag dag_;
@@ -204,6 +225,13 @@ class RewriteEngine
     ir::CircuitCounts pendingCounts_;
     double pendingFidLogCost_ = 0;
     std::vector<std::size_t> emitOrder_; // pending sorted by insertPos
+    // Per wire: the pending pass's accepted matches that touch it, as
+    // (first matched gate on the wire, insertPos), ascending by gate.
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
+        wireMatches_;
+    std::vector<int> wiresUsed_; // wires whose list is non-empty
+    // The match being admitted: (wire, its first matched gate there).
+    std::vector<std::pair<int, std::size_t>> matchWires_;
     ir::Circuit candidate_;
     bool candidateReady_ = false;
     std::vector<ir::Gate> gateScratch_; // commit compaction buffer

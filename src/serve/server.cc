@@ -135,6 +135,9 @@ processParsed(const std::string &id, const qasm::ParseResult &pr,
         deadlineMsOverride ? *deadlineMsOverride : cfg.deadlineMs;
     if (deadlineMs > 0)
         req.hooks.setDeadlineIn(deadlineMs / 1000.0);
+    // A run that will be verified records its derivation, so that the
+    // check can replay it instead of re-simulating the circuits.
+    req.recordDerivation = cfg.verify;
 
     o.report = cfg.optimizer->run(input, req);
     const core::OptimizeReport &result = o.report;
@@ -153,6 +156,8 @@ processParsed(const std::string &id, const qasm::ParseResult &pr,
     if (cfg.verify) {
         verify::VerifyRequest vreq = cfg.verifyBase;
         vreq.seed = req.seed;
+        if (result.derivation.recorded())
+            vreq.derivation = &result.derivation;
         const std::string err =
             cfg.checker->checkRequest(input, result.circuit, vreq);
         if (!err.empty()) {

@@ -94,10 +94,21 @@ fuseRun(std::span<const ir::Gate *const> run, ir::GateSetKind set,
 }
 
 ir::Circuit
-fuseOneQubitRuns(const ir::Circuit &c, ir::GateSetKind set)
+fuseOneQubitRuns(const ir::Circuit &c, ir::GateSetKind set,
+                 ir::DerivationStep *step)
 {
-    if (set == ir::GateSetKind::CliffordT)
-        return c; // finite basis: no continuous Euler form to fuse into
+    const Gate *base = c.gates().data();
+    auto keep = [step, base](const Gate *g) {
+        if (step != nullptr)
+            step->emit(ir::DerivationRun::kKept,
+                       static_cast<std::uint32_t>(g - base));
+    };
+    if (set == ir::GateSetKind::CliffordT) {
+        // Finite basis: no continuous Euler form to fuse into.
+        for (const Gate &g : c.gates())
+            keep(&g);
+        return c;
+    }
 
     ir::Circuit out(c.numQubits());
     // Pending run of 1q gates per wire, in time order.
@@ -105,13 +116,24 @@ fuseOneQubitRuns(const ir::Circuit &c, ir::GateSetKind set)
         static_cast<std::size_t>(c.numQubits()));
     OneQubitSeq fused;
 
-    auto flush = [&out, &fused, set](std::vector<const Gate *> &run) {
+    auto flush = [&](std::vector<const Gate *> &run) {
         if (fuseRun(run, set, fused)) {
-            for (Gate &g : fused.gates(run[0]->qubits[0]))
+            std::vector<Gate> refit = fused.gates(run[0]->qubits[0]);
+            if (step != nullptr) {
+                ir::DerivationBlock b;
+                for (const Gate *g : run)
+                    b.gates.push_back(static_cast<std::uint32_t>(g - base));
+                b.replacement = refit;
+                step->blocks.push_back(std::move(b));
+                step->emitBlock(step->blocks.size() - 1);
+            }
+            for (Gate &g : refit)
                 out.add(std::move(g));
         } else {
-            for (const Gate *g : run)
+            for (const Gate *g : run) {
                 out.add(*g);
+                keep(g);
+            }
         }
         run.clear();
     };
@@ -123,6 +145,7 @@ fuseOneQubitRuns(const ir::Circuit &c, ir::GateSetKind set)
             for (int q : g.qubits)
                 flush(runs[static_cast<std::size_t>(q)]);
             out.add(g);
+            keep(&g);
         }
     }
     for (auto &run : runs)

@@ -12,6 +12,7 @@
 #include <span>
 
 #include "ir/circuit.h"
+#include "ir/derivation.h"
 #include "ir/gate_set.h"
 #include "transpile/decompose.h"
 
@@ -41,8 +42,14 @@ bool allNative(const ir::Circuit &c, ir::GateSetKind set);
  * This is the "1q fusion" transformation GUOQ uses alongside rewrite
  * rules: exact (ε = 0) and cheap, but — unlike a pattern rule — able
  * to collapse arbitrarily long 1q runs.
+ *
+ * When @p step is given, it is filled with the move as a derivation
+ * step (ir/derivation.h): one block per refit run, and the output's
+ * gate order, which also records the move of every 1q gate to just
+ * before the next multi-qubit gate on its wire.
  */
-ir::Circuit fuseOneQubitRuns(const ir::Circuit &c, ir::GateSetKind set);
+ir::Circuit fuseOneQubitRuns(const ir::Circuit &c, ir::GateSetKind set,
+                             ir::DerivationStep *step = nullptr);
 
 /**
  * The fusion verdict for one run, shared by fuseOneQubitRuns and the

@@ -88,6 +88,7 @@ CheckerRegistry::global()
         auto *r = new CheckerRegistry;
         registerDenseChecker(*r);
         registerSamplingChecker(*r);
+        registerCertificateChecker(*r);
         registerAutoChecker(*r);
         return r;
     }();
@@ -114,7 +115,9 @@ verifyEquivalence(const ir::Circuit &a, const ir::Circuit &b,
 
 namespace {
 
-/** Width-based dispatch: dense where it fits, sampling above. */
+/** The certificate when a derivation is attached; otherwise, or when
+ *  the certificate does not establish equivalence, width-based
+ *  dispatch: dense where it fits, sampling above. */
 class AutoChecker final : public EquivalenceChecker
 {
   public:
@@ -128,7 +131,9 @@ class AutoChecker final : public EquivalenceChecker
     info() const override
     {
         static const CheckerInfo kInfo{
-            "auto", "dense up to 10 qubits, sampling above"};
+            "auto", "certificate when the optimizer recorded a "
+                    "derivation; else dense up to 10 qubits, sampling "
+                    "above"};
         return kInfo;
     }
 
@@ -136,6 +141,9 @@ class AutoChecker final : public EquivalenceChecker
     checkRequest(const ir::Circuit &a, const ir::Circuit &b,
                  const VerifyRequest &req) const override
     {
+        // A derivation is checked at any width.
+        if (req.derivation != nullptr)
+            return EquivalenceChecker::checkRequest(a, b, req);
         return pick(a)->checkRequest(a, b, req);
     }
 
@@ -145,6 +153,12 @@ class AutoChecker final : public EquivalenceChecker
     {
         // The report's `method` names the backend that actually ran,
         // so consumers (batch JSON, CLI) see the policy's choice.
+        if (req.derivation == nullptr)
+            return pick(a)->run(a, b, req);
+        VerifyReport cert = certify(a, b, *req.derivation, req);
+        if (cert.verdict == Verdict::Equivalent ||
+            !pick(a)->checkRequest(a, b, req).empty())
+            return cert;
         return pick(a)->run(a, b, req);
     }
 

@@ -13,7 +13,12 @@
  * product states via sim::StateVector (O(gates·2^n) per shot,
  * memory-light) and average ⟨C1ψ|C2ψ⟩ over shots — so 20+-qubit
  * results become verifiable. The `auto` policy picks dense up to
- * kDenseAutoMaxQubits and sampling above.
+ * kDenseAutoMaxQubits and sampling above — unless the request carries
+ * the optimizer's derivation of the output (ir/derivation.h), in which
+ * case it runs the `certificate` backend: replay the derivation and sum
+ * the local distances of its blocks, deterministic at any width, and
+ * fall back to the width-based choice only when the certificate does
+ * not establish equivalence.
  *
  * Sampling reports a Hoeffding-style confidence bound: with
  * probability ≥ `confidence` the true distance lies within `bound` of
@@ -31,6 +36,7 @@
 #include <vector>
 
 #include "ir/circuit.h"
+#include "ir/derivation.h"
 
 namespace guoq {
 namespace verify {
@@ -65,8 +71,14 @@ struct VerifyRequest
     int threads = 1;
 
     /** Registry name for verifyEquivalence() dispatch:
-     *  "auto" | "dense" | "sampling". */
+     *  "auto" | "dense" | "sampling" | "certificate". */
     std::string method = "auto";
+
+    /** The derivation of the second circuit from the first
+     *  (core::OptimizeReport::derivation), or null. `certificate`
+     *  needs it; `auto` uses it when set; the others ignore it. The
+     *  pointee must outlive the check. */
+    const ir::Derivation *derivation = nullptr;
 };
 
 /** The conclusion of a check under its request's budget. */
@@ -84,11 +96,14 @@ const char *verdictName(Verdict v);
 /** What every checker produces. */
 struct VerifyReport
 {
-    /** Backend that actually ran ("dense"/"sampling"; `auto` reports
-     *  its choice). Empty = no verification was performed. */
+    /** Backend that actually ran ("dense"/"sampling"/"certificate";
+     *  `auto` reports its choice). Empty = no verification was
+     *  performed. */
     std::string method;
 
-    /** Δ estimate: exact for dense, the sampled estimate otherwise. */
+    /** Δ estimate: exact for dense, the sampled estimate for
+     *  sampling, and for certificate the sum of the blocks' local
+     *  distances (an upper bound; 1 when the derivation fails). */
     double distanceEstimate = 0;
 
     /** Half-width of the confidence interval: the true distance lies
@@ -161,8 +176,8 @@ class CheckerRegistry
     std::vector<std::string> names() const;
 
     /**
-     * The process-wide registry: "dense", "sampling", "auto". Built on
-     * first use; thread-safe.
+     * The process-wide registry: "dense", "sampling", "certificate",
+     * "auto". Built on first use; thread-safe.
      */
     static const CheckerRegistry &global();
 
@@ -194,9 +209,25 @@ void registerDenseChecker(CheckerRegistry &r);
 /** Registers "sampling" (verify/sampling.cc). */
 void registerSamplingChecker(CheckerRegistry &r);
 
+/** Registers "certificate" (verify/certificate.cc). */
+void registerCertificateChecker(CheckerRegistry &r);
+
 /** Registers "auto" over previously registered dense + sampling
- *  (verify/checker.cc; fatal if either is missing). */
+ *  (verify/checker.cc; fatal if either is missing). It runs the
+ *  certificate itself, registered or not. */
 void registerAutoChecker(CheckerRegistry &r);
+
+/**
+ * The certificate check (verify/certificate.cc): replay @p d from
+ * @p a, checking every step on the path to d.best, and compare the
+ * result with @p b. The report's distance is the sum of the blocks'
+ * local Δ, with bound 0 and confidence 1; a derivation that does not
+ * check reports distance 1 and Inequivalent, and its first fault goes
+ * to @p why ("" when it checks).
+ */
+VerifyReport certify(const ir::Circuit &a, const ir::Circuit &b,
+                     const ir::Derivation &d, const VerifyRequest &req,
+                     std::string *why = nullptr);
 
 } // namespace verify
 } // namespace guoq

@@ -20,8 +20,10 @@
 #include <filesystem>
 #include <initializer_list>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace guoq {
 namespace {
@@ -100,10 +102,12 @@ class CliTest : public ::testing::Test
         std::string err;
     };
 
-    /** Run guoq_cli with @p args (shell words). stdout goes to
-     *  @p stdoutTo when given, else it is captured. */
+    /** Run guoq_cli with @p args (shell words) and stdin from
+     *  @p stdinFrom. stdout goes to @p stdoutTo when given, else it is
+     *  captured. */
     Result
-    run(const std::string &args, const std::string &stdoutTo = "")
+    run(const std::string &args, const std::string &stdoutTo = "",
+        const std::string &stdinFrom = "/dev/null")
     {
         const fs::path out = dir_ / "stdout.txt";
         const fs::path err = dir_ / "stderr.txt";
@@ -111,7 +115,8 @@ class CliTest : public ::testing::Test
                                 args + " > '" +
                                 (stdoutTo.empty() ? out.string()
                                                   : stdoutTo) +
-                                "' 2> '" + err.string() + "' < /dev/null";
+                                "' 2> '" + err.string() + "' < '" +
+                                stdinFrom + "'";
         const int rc = std::system(cmd.c_str());
         Result r;
         r.status = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
@@ -351,6 +356,83 @@ TEST_F(CliTest, ProgressStreamsBestCostToStderr)
     EXPECT_EQ(r.status, 0) << r.err;
     EXPECT_NE(r.err.find("best cost"), std::string::npos) << r.err;
     EXPECT_EQ(r.out.rfind("OPENQASM 2.0;", 0), 0u);
+}
+
+// --- serve mode ------------------------------------------------------
+
+/** The text of `"key": ` 's value in one JSON row, up to the next
+ *  comma or brace ("" when the key is absent). */
+std::string
+rowField(const std::string &row, const std::string &key)
+{
+    std::string needle = "\"";
+    needle += key;
+    needle += "\": ";
+    const std::size_t at = row.find(needle);
+    if (at == std::string::npos)
+        return "";
+    const std::size_t from = at + needle.size();
+    return row.substr(from, row.find_first_of(",}", from) - from);
+}
+
+TEST_F(CliTest, ServeStreamsOneVerifiedRowPerFrame)
+{
+    // The example corpus as guoq-serve-v1 frames, then one framed but
+    // unparsable payload and one garbage line that is no frame at all.
+    std::string frames;
+    std::vector<std::string> ids = {"malformed.qasm"};
+    int files = 0;
+    for (const fs::directory_entry &e : fs::directory_iterator(kExamples)) {
+        if (e.path().extension() != ".qasm")
+            continue;
+        const std::string text = readFile(e.path());
+        frames += "request " + e.path().filename().string() +
+                  " seed=1\npayload " + std::to_string(text.size()) +
+                  "\n" + text + "end\n";
+        ids.push_back(e.path().filename().string());
+        ++files;
+    }
+    const std::string bad = "OPENQASM 2.0;\nqreg q[1];\nfrobnicate q[0];\n";
+    frames += "request malformed.qasm\npayload " +
+              std::to_string(bad.size()) + "\n" + bad + "end\n";
+    frames += "this is not a frame\n";
+    writeFile(dir_ / "frames.txt", frames);
+
+    const Result r = run("--serve --jobs 2 --iterations 200 --seed 1 "
+                         "--capacity 4 --verify",
+                         "", (dir_ / "frames.txt").string());
+    EXPECT_EQ(r.status, 0) << r.err;
+    EXPECT_NE(r.err.find("served"), std::string::npos) << r.err;
+
+    std::istringstream lines(r.out);
+    std::string row;
+    std::map<std::string, int> seen;
+    int rows = 0, ok = 0, frameErrors = 0;
+    while (std::getline(lines, row)) {
+        ++rows;
+        EXPECT_EQ(rowField(row, "schema"), "\"guoq-serve-row-v1\"") << row;
+        ++seen[rowField(row, "id")];
+        const std::string code = rowField(row, "code");
+        if (code == "4")
+            ++frameErrors;
+        if (rowField(row, "id") == "\"malformed.qasm\"") {
+            EXPECT_EQ(rowField(row, "status"), "\"parse_error\"") << row;
+            EXPECT_EQ(code, "1") << row;
+            EXPECT_EQ(rowField(row, "line"), "3") << row;
+        }
+        if (code != "0")
+            continue;
+        ++ok;
+        EXPECT_EQ(rowField(row, "qasm").rfind("\"OPENQASM", 0), 0u) << row;
+        EXPECT_EQ(rowField(row, "verify"), "{\"method\": \"certificate\"")
+            << row;
+        EXPECT_EQ(rowField(row, "verdict"), "\"equivalent\"") << row;
+    }
+    EXPECT_EQ(rows, files + 2);
+    EXPECT_EQ(ok, files);
+    EXPECT_EQ(frameErrors, 1);
+    for (const std::string &id : ids)
+        EXPECT_EQ(seen["\"" + id + "\""], 1) << id;
 }
 
 // --- write failures exit 1 in every mode -----------------------------

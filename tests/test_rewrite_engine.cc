@@ -36,9 +36,11 @@
 #include "reference/applier.h"
 #include "rewrite/engine.h"
 #include "rewrite/rule.h"
+#include "sim/statevector.h"
 #include "support/rng.h"
 #include "tests/test_util.h"
 #include "transpile/to_gate_set.h"
+#include "workloads/variational.h"
 
 namespace {
 
@@ -364,6 +366,85 @@ TEST(RewriteEngineFusion, RuleCommitReopensOnlyTheWiresItTouched)
     EXPECT_TRUE(sameGates(engine.circuit(),
                           transpile::fuseOneQubitRuns(cancelled, set)));
     engine.checkInvariants();
+}
+
+// ---------------------------------------------------------------------
+// Soundness of a pass: two matches that share a wire.
+// ---------------------------------------------------------------------
+
+/** |<ψ|ψ'>| for ψ, ψ' = @p a, @p b applied to one random product
+ *  state: 1 for circuits equal up to phase, well below it otherwise. */
+double
+probeOverlap(const ir::Circuit &a, const ir::Circuit &b, std::uint64_t seed)
+{
+    auto run = [seed](const ir::Circuit &c) {
+        support::Rng r(seed);
+        sim::StateVector v(c.numQubits());
+        for (int q = 0; q < c.numQubits(); ++q)
+            v.apply(ir::Gate(ir::GateKind::U3, {q},
+                             {r.uniform(0, 3), r.uniform(0, 3),
+                              r.uniform(0, 3)}));
+        v.apply(c);
+        return v;
+    };
+    return std::abs(run(a).innerProduct(run(b)));
+}
+
+TEST(RewriteEngineSoundness, SharedWireMatchesKeepTheirWireOrder)
+{
+    // Each match's insertPos is computed against the original circuit,
+    // so two matches on one wire could be emitted in the opposite
+    // order from their order on it: on this corpus 6 committed passes
+    // (cx_commute_shared_{control,target}, >= 2 applications) changed
+    // the unitary before the pass learned to skip such a match.
+    const auto &rules = rewrite::rulesFor(ir::GateSetKind::Nam);
+    long committed = 0;
+    for (std::uint64_t s = 0; s < 300; ++s) {
+        rewrite::RewriteEngine engine{transpile::toGateSet(
+            workloads::randomCircuit(8, 60, s), ir::GateSetKind::Nam)};
+        support::Rng rng(s * 7919 + 1);
+        for (int k = 0; k < 200; ++k) {
+            const rewrite::RewriteRule &rule =
+                rules[rng.index(rules.size())];
+            const ir::Circuit before = engine.circuit();
+            if (!engine.preparePassRandom(rule, rng))
+                continue;
+            engine.commit();
+            ++committed;
+            ASSERT_GT(probeOverlap(before, engine.circuit(), s), 1 - 1e-9)
+                << "seed " << s << ", pass " << k << ", " << rule.name();
+        }
+    }
+    EXPECT_GT(committed, 10000);
+}
+
+TEST(RewriteEngineSoundness, MisorderedSecondMatchIsSkipped)
+{
+    // The smallest such case of the corpus above. From anchor 0,
+    // cx_commute_shared_control matches {0, 2} (control q3, insertPos
+    // 2) and then {3, 4} (control q1, insertPos 1). Both touch q1, the
+    // first one earlier, yet the second would be emitted first; the
+    // pass must leave the second match alone.
+    ir::Circuit c(8);
+    c.cx(3, 1);
+    c.cx(7, 2);
+    c.cx(3, 2);
+    c.cx(1, 5);
+    c.cx(1, 0);
+    const rewrite::RewriteRule *rule = nullptr;
+    for (const rewrite::RewriteRule &r : rewrite::rulesFor(ir::GateSetKind::Nam))
+        if (r.name() == "cx_commute_shared_control")
+            rule = &r;
+    ASSERT_NE(rule, nullptr);
+    rewrite::RewriteEngine engine{ir::Circuit(c)};
+    const auto att = engine.preparePass(*rule, 0);
+    ASSERT_TRUE(att.has_value());
+    EXPECT_EQ(att->applications, 1);
+    engine.commit();
+    EXPECT_GT(probeOverlap(c, engine.circuit(), 5), 1 - 1e-9);
+    const rewrite::PassResult legacy = rewrite::applyRulePass(c, *rule, 0);
+    EXPECT_EQ(legacy.applications, 1);
+    EXPECT_TRUE(sameGates(engine.circuit(), legacy.circuit));
 }
 
 // ---------------------------------------------------------------------

@@ -41,10 +41,11 @@ TEST(VerifyRegistry, RoundTrip)
 {
     const CheckerRegistry &r = CheckerRegistry::global();
     const std::vector<std::string> names = r.names();
-    ASSERT_EQ(names.size(), 3u);
+    ASSERT_EQ(names.size(), 4u);
     EXPECT_EQ(names[0], "dense");
     EXPECT_EQ(names[1], "sampling");
-    EXPECT_EQ(names[2], "auto");
+    EXPECT_EQ(names[2], "certificate");
+    EXPECT_EQ(names[3], "auto");
     for (const std::string &name : names) {
         const EquivalenceChecker *c = r.find(name);
         ASSERT_NE(c, nullptr);
@@ -52,7 +53,7 @@ TEST(VerifyRegistry, RoundTrip)
         EXPECT_FALSE(c->info().summary.empty());
     }
     EXPECT_EQ(r.find("exhaustive"), nullptr);
-    EXPECT_EQ(r.all().size(), 3u);
+    EXPECT_EQ(r.all().size(), 4u);
 }
 
 TEST(VerifyRegistry, CheckRequestRejectsBadRequests)

@@ -152,12 +152,17 @@ usage(const char *argv0)
         "                   explicit --time the cap alone decides where\n"
         "                   the search stops, making runs reproducible\n"
         "                   (default: none, run until --time)\n"
-        "  --verify         check the result against the input: exact\n"
-        "                   HS distance up to 10 qubits, a sampled\n"
-        "                   estimate with a confidence bound above\n"
+        "  --verify         check the result against the input: replay\n"
+        "                   the optimizer's derivation (guoq, one\n"
+        "                   thread) and sum its blocks' local HS\n"
+        "                   distances; otherwise the exact HS distance\n"
+        "                   up to 10 qubits, a sampled estimate with a\n"
+        "                   confidence bound above\n"
         "  --verify-method M\n"
-        "                   auto | dense | sampling (default auto;\n"
-        "                   implies --verify)\n"
+        "                   auto | dense | sampling | certificate\n"
+        "                   (default auto: certificate when a\n"
+        "                   derivation was recorded, else dense or\n"
+        "                   sampling by width; implies --verify)\n"
         "  --verify-shots N shots for the sampling estimator\n"
         "                   (default 1024; implies --verify)\n"
         "  --progress       stream best-cost improvements to stderr as\n"
@@ -595,7 +600,9 @@ runSingle(const CliOptions &opt)
     // past the sampling cap). Runtime failure, not a usage error: it
     // depends on the input circuit, and unlike batch mode there is no
     // other file to carry on with.
-    if (opt.verify) {
+    // The certificate's precondition, a recorded derivation, only
+    // exists after the run.
+    if (opt.verify && opt.verifyMethod != "certificate") {
         const std::string err = opt.checker->checkRequest(
             input, input, opt.verifyRequest());
         if (!err.empty())
