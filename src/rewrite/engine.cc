@@ -97,10 +97,7 @@ RewriteEngine::preparePass(const RewriteRule &rule,
     pendingFidLogCost_ = fidLogCost_;
     usedStamp_.resize(n, 0);
     ++passEpoch_;
-    for (int q : wiresUsed_)
-        wireMatches_[static_cast<std::size_t>(q)].clear();
-    wiresUsed_.clear();
-    wireMatches_.resize(static_cast<std::size_t>(circuit_.numQubits()));
+    gateMatch_.resize(n, 0);
 
     // The legacy pass visits anchors (start + off) % n for off 0..n-1
     // and lets matchAt reject every anchor whose kind differs from the
@@ -131,19 +128,7 @@ RewriteEngine::preparePass(const RewriteRule &rule,
         }
         if (overlap)
             continue;
-        matchWires_.clear();
-        for (std::size_t gi : m->gateIndices) {
-            for (int q : circuit_.gate(gi).qubits) {
-                auto it = std::find_if(
-                    matchWires_.begin(), matchWires_.end(),
-                    [q](const auto &w) { return w.first == q; });
-                if (it == matchWires_.end())
-                    matchWires_.emplace_back(q, gi);
-                else
-                    it->second = std::min(it->second, gi);
-            }
-        }
-        if (!admitOnWires(m->insertPos))
+        if (!admitOnWires(*m))
             continue;
         PendingMatch pm;
         pm.insertPos = m->insertPos;
@@ -152,6 +137,7 @@ RewriteEngine::preparePass(const RewriteRule &rule,
             rule.instantiateReplacement(m->qubitBinding, m->angleBinding);
         for (std::size_t gi : pm.gateIndices) {
             usedStamp_[gi] = passEpoch_;
+            gateMatch_[gi] = pendingMatches_.size();
             const ir::Gate &g = circuit_.gate(gi);
             --pendingCounts_.gates;
             if (g.arity() == 2)
@@ -196,28 +182,34 @@ RewriteEngine::preparePass(const RewriteRule &rule,
 }
 
 bool
-RewriteEngine::admitOnWires(std::size_t insert_pos)
+RewriteEngine::admitOnWires(const Match &m)
 {
-    for (const auto &[q, first] : matchWires_) {
-        const auto &list = wireMatches_[static_cast<std::size_t>(q)];
-        const auto it = std::lower_bound(
-            list.begin(), list.end(), first,
-            [](const auto &e, std::size_t g) { return e.first < g; });
+    // The match's first and last gate on each of its wires.
+    matchWires_.clear();
+    for (std::size_t gi : m.gateIndices) {
+        for (int q : circuit_.gate(gi).qubits) {
+            auto it = std::find_if(matchWires_.begin(), matchWires_.end(),
+                                   [q](const WireSpan &w) { return w.wire == q; });
+            if (it == matchWires_.end()) {
+                matchWires_.push_back({q, gi, gi});
+            } else {
+                it->first = std::min(it->first, gi);
+                it->last = std::max(it->last, gi);
+            }
+        }
+    }
+    auto accepted = [this](std::size_t g) {
+        return g != dag::kNoGate && usedStamp_[g] == passEpoch_;
+    };
+    for (const WireSpan &w : matchWires_) {
         // An earlier-discovered match at the same insertPos is emitted
         // first, so it may only precede this one on the wire.
-        if (it != list.begin() && std::prev(it)->second > insert_pos)
+        const std::size_t p = dag_.prev(w.first, w.wire);
+        if (accepted(p) && pendingMatches_[gateMatch_[p]].insertPos > m.insertPos)
             return false;
-        if (it != list.end() && it->second <= insert_pos)
+        const std::size_t n = dag_.next(w.last, w.wire);
+        if (accepted(n) && pendingMatches_[gateMatch_[n]].insertPos <= m.insertPos)
             return false;
-    }
-    for (const auto &[q, first] : matchWires_) {
-        auto &list = wireMatches_[static_cast<std::size_t>(q)];
-        if (list.empty())
-            wiresUsed_.push_back(q);
-        const auto it = std::lower_bound(
-            list.begin(), list.end(), first,
-            [](const auto &e, std::size_t g) { return e.first < g; });
-        list.emplace(it, first, insert_pos);
     }
     return true;
 }

@@ -55,7 +55,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "dag/circuit_dag.h"
@@ -190,15 +189,16 @@ class RewriteEngine
     void clearPending();
     /**
      * The pass's wire-order guard. The pass emits its replacements by
-     * (insertPos, discovery order), so a match inserted at
-     * @p insert_pos, whose first gate on each wire is in matchWires_,
-     * keeps every wire's order only if each accepted match it shares
-     * a wire with is emitted before it exactly when it comes first on
-     * that wire. Checking the nearest accepted match on each side of
-     * it per wire suffices, since the accepted ones already agree.
-     * Records the match and returns true when it passes.
+     * (insertPos, discovery order), so match @p m keeps every wire's
+     * order only if each accepted match it shares a wire with is
+     * emitted before it exactly when it comes first on that wire. Only
+     * the gates right before and after @p m on each wire need a look:
+     * the accepted matches already agree among themselves, and one
+     * separated from @p m by a gate of no accepted match is ordered by
+     * the splice windows (matcher.h), which put that gate between the
+     * two insertPos values. True when @p m passes.
      */
-    bool admitOnWires(std::size_t insert_pos);
+    bool admitOnWires(const Match &m);
 
     ir::Circuit circuit_;
     dag::CircuitDag dag_;
@@ -225,13 +225,15 @@ class RewriteEngine
     ir::CircuitCounts pendingCounts_;
     double pendingFidLogCost_ = 0;
     std::vector<std::size_t> emitOrder_; // pending sorted by insertPos
-    // Per wire: the pending pass's accepted matches that touch it, as
-    // (first matched gate on the wire, insertPos), ascending by gate.
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
-        wireMatches_;
-    std::vector<int> wiresUsed_; // wires whose list is non-empty
-    // The match being admitted: (wire, its first matched gate there).
-    std::vector<std::pair<int, std::size_t>> matchWires_;
+    std::vector<std::size_t> gateMatch_; // used gate -> pendingMatches_ index
+    // The match being admitted: its first and last gate on each wire.
+    struct WireSpan
+    {
+        int wire = 0;
+        std::size_t first = 0;
+        std::size_t last = 0;
+    };
+    std::vector<WireSpan> matchWires_;
     ir::Circuit candidate_;
     bool candidateReady_ = false;
     std::vector<ir::Gate> gateScratch_; // commit compaction buffer
