@@ -188,8 +188,9 @@ RewriteEngine::admitOnWires(const Match &m)
     matchWires_.clear();
     for (std::size_t gi : m.gateIndices) {
         for (int q : circuit_.gate(gi).qubits) {
-            auto it = std::find_if(matchWires_.begin(), matchWires_.end(),
-                                   [q](const WireSpan &w) { return w.wire == q; });
+            auto it = std::find_if(
+                matchWires_.begin(), matchWires_.end(),
+                [q](const WireSpan &w) { return w.wire == q; });
             if (it == matchWires_.end()) {
                 matchWires_.push_back({q, gi, gi});
             } else {
@@ -198,17 +199,20 @@ RewriteEngine::admitOnWires(const Match &m)
             }
         }
     }
-    auto accepted = [this](std::size_t g) {
-        return g != dag::kNoGate && usedStamp_[g] == passEpoch_;
+    // The accepted match holding gate g, if any.
+    auto owner = [this](std::size_t g) -> const PendingMatch * {
+        if (g == dag::kNoGate || usedStamp_[g] != passEpoch_)
+            return nullptr;
+        return &pendingMatches_[gateMatch_[g]];
     };
     for (const WireSpan &w : matchWires_) {
         // An earlier-discovered match at the same insertPos is emitted
         // first, so it may only precede this one on the wire.
-        const std::size_t p = dag_.prev(w.first, w.wire);
-        if (accepted(p) && pendingMatches_[gateMatch_[p]].insertPos > m.insertPos)
+        const PendingMatch *before = owner(dag_.prev(w.first, w.wire));
+        if (before != nullptr && before->insertPos > m.insertPos)
             return false;
-        const std::size_t n = dag_.next(w.last, w.wire);
-        if (accepted(n) && pendingMatches_[gateMatch_[n]].insertPos <= m.insertPos)
+        const PendingMatch *after = owner(dag_.next(w.last, w.wire));
+        if (after != nullptr && after->insertPos <= m.insertPos)
             return false;
     }
     return true;

@@ -288,7 +288,8 @@ Replay::wireOrderHolds(const ir::DerivationStep &st)
     for (std::size_t i = 0; i < n; ++i) {
         const std::int32_t b = owner_[i];
         for (int q : cur_[i]->qubits) {
-            std::vector<std::uint32_t> &seq = expect_[static_cast<std::size_t>(q)];
+            std::vector<std::uint32_t> &seq =
+                expect_[static_cast<std::size_t>(q)];
             std::int32_t &last = lastBlock_[static_cast<std::size_t>(q)];
             if (b < 0) {
                 seq.push_back(static_cast<std::uint32_t>(i));

@@ -432,7 +432,8 @@ TEST(RewriteEngineSoundness, MisorderedSecondMatchIsSkipped)
     c.cx(1, 5);
     c.cx(1, 0);
     const rewrite::RewriteRule *rule = nullptr;
-    for (const rewrite::RewriteRule &r : rewrite::rulesFor(ir::GateSetKind::Nam))
+    for (const rewrite::RewriteRule &r :
+         rewrite::rulesFor(ir::GateSetKind::Nam))
         if (r.name() == "cx_commute_shared_control")
             rule = &r;
     ASSERT_NE(rule, nullptr);
