@@ -15,7 +15,7 @@
  * The PR-010 acceptance criterion (>= 5x iterations/sec at the
  * largest size) is measured here as the `rewrite_throughput` case of
  * guoq-bench-v1 (BENCH_008.json); methodology in docs/PERFORMANCE.md.
- * Iteration counts scale with --scale so the CI smoke run (0.05)
+ * Iteration counts scale with --scale so the bench_guards run (0.05)
  * finishes in seconds while artifact runs exercise long loops.
  *
  * The `fusion_move` case times the same loop with the 1q-fusion move

@@ -25,6 +25,10 @@ partitionResynth(const ir::Circuit &c, ir::GateSetKind set,
 
     PartitionResynthResult result;
     result.circuit = c;
+    // At ε_f = 0 no resynthesized block is exact (instantiation stops
+    // at a ~1e-8 distance), so resynthesis is skipped, as in GUOQ.
+    if (!(epsilon_total > 0))
+        return result;
 
     const std::vector<dag::SubcircuitSelection> blocks =
         dag::partitionConvex(c, 3, 48);

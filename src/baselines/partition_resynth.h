@@ -43,7 +43,8 @@ struct PartitionResynthResult
  * Run the one-pass partition+resynthesize optimizer. Block synthesis
  * routes through @p service (the process-wide synth::SynthService
  * when null), so batch runs share its cache.
- * @param epsilon_total ε_f, divided equally across blocks.
+ * @param epsilon_total ε_f, divided equally across blocks. At 0 the
+ *        input is returned unchanged, with no blocks partitioned.
  * @param time_budget_seconds wall clock, divided across blocks.
  */
 PartitionResynthResult

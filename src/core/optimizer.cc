@@ -287,6 +287,7 @@ class GuoqFamilyOptimizer : public Optimizer
     {
         info_.name = std::move(name);
         info_.summary = std::move(summary);
+        info_.recordsDerivation = true;
         using K = ParamSpec::Kind;
         info_.params = {
             {"temperature", K::Double,

@@ -66,6 +66,9 @@ struct OptimizerInfo
     std::string name;    //!< registry key, e.g. "beam"
     std::string summary; //!< one-line description
     std::vector<ParamSpec> params; //!< declared parameters
+    /** Whether run() returns a derivation when asked
+     *  (OptimizeRequest::recordDerivation) with threads == 1. */
+    bool recordsDerivation = false;
 };
 
 /** What every optimizer consumes: circuit-independent run settings. */
@@ -104,8 +107,10 @@ struct OptimizeRequest
     ObserverHooks hooks;
 
     /** Return the derivation of the output (OptimizeReport::derivation)
-     *  for the `certificate` checker. Only the guoq family records
-     *  one, and only with threads == 1; others ignore the flag. */
+     *  for the `certificate` checker. Only optimizers whose
+     *  OptimizerInfo::recordsDerivation is set (the guoq family)
+     *  record one, and only with threads == 1; others ignore the
+     *  flag. */
     bool recordDerivation = false;
 };
 

@@ -47,6 +47,17 @@ class CircuitDag
     /** Index of the next gate after @p gate_idx on wire @p q. */
     std::size_t next(std::size_t gate_idx, int q) const;
 
+    /**
+     * Index of the next gate after @p gate_idx on the wire of its
+     * @p slot-th qubit (gate.qubits[slot]): next() without the slot
+     * search.
+     */
+    std::size_t
+    nextAtSlot(std::size_t gate_idx, std::size_t slot) const
+    {
+        return nextLink_[gate_idx * kMaxArity + slot];
+    }
+
     /** Index of the previous gate before @p gate_idx on wire @p q. */
     std::size_t prev(std::size_t gate_idx, int q) const;
 

@@ -89,7 +89,7 @@ RewriteEngine::preparePass(const RewriteRule &rule,
     if (pending())
         support::panic("RewriteEngine::preparePass: a pass is pending");
     const std::size_t n = circuit_.size();
-    if (n == 0)
+    if (n == 0 || memoizedNoMatch(rule))
         return std::nullopt;
 
     candidateReady_ = false;
@@ -114,7 +114,8 @@ RewriteEngine::preparePass(const RewriteRule &rule,
         const std::size_t pos = split + off;
         const std::size_t anchor =
             bucket[pos < bucket.size() ? pos : pos - bucket.size()];
-        if (usedStamp_[anchor] == passEpoch_)
+        if (usedStamp_[anchor] == passEpoch_ ||
+            !secondGateAdmits(circuit_, dag_, rule, anchor))
             continue;
         auto m = matchAt(circuit_, dag_, rule, anchor, scratch_);
         if (!m)
@@ -159,8 +160,17 @@ RewriteEngine::preparePass(const RewriteRule &rule,
         pendingMatches_.push_back(std::move(pm));
     }
 
-    if (pendingMatches_.empty())
+    if (pendingMatches_.empty()) {
+        // With nothing pending, the first anchor matchAt accepted
+        // would have been taken: the rule matches nowhere, from any
+        // start anchor, until the circuit changes.
+        const auto id = static_cast<std::size_t>(rule.id());
+        if (id >= noMatchStamp_.size())
+            noMatchStamp_.resize(id + 1, 0);
+        noMatchStamp_[id] = indexEpoch_;
+        noMatchRules_.push_back(&rule);
         return std::nullopt;
+    }
 
     // Emission order: ascending insertPos, discovery order within a
     // position — the legacy multimap semantics.
@@ -424,9 +434,24 @@ RewriteEngine::clearFusionMarks()
     fusionClean_.assign(static_cast<std::size_t>(circuit_.numQubits()), 0);
 }
 
+bool
+RewriteEngine::memoizedNoMatch(const RewriteRule &rule) const
+{
+    const auto id = static_cast<std::size_t>(rule.id());
+    return id < noMatchStamp_.size() && noMatchStamp_[id] == indexEpoch_;
+}
+
+void
+RewriteEngine::forgetNoMatches()
+{
+    ++indexEpoch_;
+    noMatchRules_.clear();
+}
+
 void
 RewriteEngine::reindex()
 {
+    forgetNoMatches();
     dag_.rebuild(circuit_);
     for (auto &b : buckets_)
         b.clear();
@@ -498,6 +523,16 @@ RewriteEngine::checkInvariants() const
                 support::panic("RewriteEngine: stale wire link");
         }
     }
+
+    // A no-match memo is a claim that the rule matches nowhere:
+    // re-check it at every anchor.
+    MatchScratch scratch;
+    for (const RewriteRule *rule : noMatchRules_)
+        for (std::size_t gi = 0; gi < gates.size(); ++gi)
+            if (matchAt(circuit_, fresh, *rule, gi, scratch))
+                support::panic(support::strcat(
+                    "RewriteEngine: rule ", rule->name(),
+                    " is memoized as matchless but matches at gate ", gi));
 
     // A clean mark is a claim that no run on the wire shrinks: re-check
     // it from scratch. (Unmarked wires claim nothing.)

@@ -82,5 +82,46 @@ std::optional<Match> matchAt(const ir::Circuit &c,
                              const RewriteRule &rule, std::size_t anchor,
                              MatchScratch &scratch);
 
+/**
+ * O(1) pre-check of matchAt(@p c, @p dag, @p rule, @p anchor) from the
+ * rule's compiled RewriteRule::SecondGate: false when matchAt's own
+ * search for pattern gate 1 must fail. That is when gate 1 shares no
+ * wire with gate 0, or a linked wire has no next gate, or the linked
+ * wires disagree on it, or it has the wrong kind, holds a linked wire
+ * at the wrong position, or holds an anchor qubit at a free position.
+ * A necessary condition only: true says nothing about angles, later
+ * pattern gates, the guard or the splice window. @p anchor must hold
+ * a gate of the kind of pattern gate 0.
+ */
+inline bool
+secondGateAdmits(const ir::Circuit &c, const dag::CircuitDag &dag,
+                 const RewriteRule &rule, std::size_t anchor)
+{
+    const RewriteRule::SecondGate &s = rule.secondGate();
+    if (!s.present)
+        return true;
+    if (s.numLinks == 0)
+        return false;
+    const auto n = static_cast<std::size_t>(s.numLinks);
+    const std::size_t nxt = dag.nextAtSlot(anchor, s.links[0][0]);
+    if (nxt == dag::kNoGate)
+        return false;
+    for (std::size_t k = 1; k < n; ++k)
+        if (dag.nextAtSlot(anchor, s.links[k][0]) != nxt)
+            return false;
+    const ir::Gate &a = c.gate(anchor);
+    const ir::Gate &b = c.gate(nxt);
+    if (b.kind != s.kind)
+        return false;
+    for (std::size_t k = 0; k < n; ++k)
+        if (b.qubits[s.links[k][1]] != a.qubits[s.links[k][0]])
+            return false;
+    for (std::size_t k = 0; k < static_cast<std::size_t>(s.numFree); ++k)
+        for (const int q : a.qubits)
+            if (b.qubits[s.free[k]] == q)
+                return false;
+    return true;
+}
+
 } // namespace rewrite
 } // namespace guoq

@@ -1,6 +1,7 @@
 #include "rewrite/rule.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "support/logging.h"
@@ -68,6 +69,28 @@ RewriteRule::RewriteRule(std::string name, std::vector<PatternGate> pattern,
                 support::panic("RewriteRule '" + name_ +
                                "': replacement uses unbound angle var");
         }
+    }
+
+    static std::atomic<std::uint64_t> next_id{0};
+    id_ = next_id.fetch_add(1, std::memory_order_relaxed);
+
+    if (pattern_.size() < 2)
+        return;
+    const PatternGate &g0 = pattern_[0];
+    const PatternGate &g1 = pattern_[1];
+    second_.present = true;
+    second_.kind = g1.kind;
+    for (std::size_t p1 = 0; p1 < g1.qubits.size(); ++p1) {
+        const auto p0 = static_cast<std::size_t>(
+            std::find(g0.qubits.begin(), g0.qubits.end(), g1.qubits[p1]) -
+            g0.qubits.begin());
+        if (p0 < g0.qubits.size())
+            second_.links[static_cast<std::size_t>(second_.numLinks++)] = {
+                static_cast<std::uint8_t>(p0),
+                static_cast<std::uint8_t>(p1)};
+        else
+            second_.free[static_cast<std::size_t>(second_.numFree++)] =
+                static_cast<std::uint8_t>(p1);
     }
 }
 

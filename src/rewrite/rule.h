@@ -13,6 +13,8 @@
 
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -83,9 +85,37 @@ using AngleGuard = std::function<bool(const std::vector<double> &)>;
 class RewriteRule
 {
   public:
+    /**
+     * What matchAt's first step demands of the circuit gate that
+     * matches pattern gate 1, compiled once per rule. Gate 1 is found
+     * as the next gate after the anchor on the wires it shares with
+     * gate 0 (its links), and its other positions (free) must bind
+     * qubits the anchor does not hold. matcher.h's secondGateAdmits
+     * turns these facts into an O(1) necessary condition for a match.
+     */
+    struct SecondGate
+    {
+        bool present = false; //!< the pattern has a gate 1
+        ir::GateKind kind = ir::GateKind::X;
+        /** (gate-0 position, gate-1 position) of each shared variable. */
+        std::array<std::array<std::uint8_t, 2>, 3> links{};
+        int numLinks = 0; //!< 0 with present: the rule can never match
+        std::array<std::uint8_t, 3> free{}; //!< gate-1 positions
+        int numFree = 0;
+    };
+
     RewriteRule(std::string name, std::vector<PatternGate> pattern,
                 std::vector<PatternGate> replacement,
                 AngleGuard guard = nullptr);
+
+    /**
+     * A process-unique id assigned at construction and shared by
+     * copies: a stable key for per-rule state (RewriteEngine's
+     * no-match memo) where an address could be reused.
+     */
+    std::uint64_t id() const { return id_; }
+
+    const SecondGate &secondGate() const { return second_; }
 
     const std::string &name() const { return name_; }
     const std::vector<PatternGate> &pattern() const { return pattern_; }
@@ -131,6 +161,8 @@ class RewriteRule
     AngleGuard guard_;
     int numQubitVars_ = 0;
     int numAngleVars_ = 0;
+    std::uint64_t id_ = 0;
+    SecondGate second_;
 };
 
 /**

@@ -2,13 +2,18 @@
  * @file
  * Tests for the benchmark subsystem: the fixed signed reduction()
  * metric, the case registry, and golden-file JSON/CSV emission with a
- * CSV round-trip through a minimal RFC-4180 parser.
+ * CSV round-trip through a minimal RFC-4180 parser and a JSON shape
+ * check through a minimal JSON parser.
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -337,6 +342,255 @@ TEST(BenchEmit, CsvRoundTripsThroughRfc4180Parser)
     EXPECT_EQ(records[3][10], "3");
     EXPECT_EQ(records[3][11], "2");
     EXPECT_EQ(records[3][12], "1");
+}
+
+/** A parsed JSON value: just enough structure for the shape check. */
+struct JsonValue
+{
+    enum class Type { Null, Bool, Number, String, Array, Object };
+    Type type = Type::Null;
+    double number = 0;
+    std::string text;
+    std::vector<JsonValue> items;
+    std::map<std::string, JsonValue> fields;
+};
+
+/** Strict recursive-descent JSON (RFC 8259) parser; null on error. */
+class JsonParser
+{
+  public:
+    explicit JsonParser(const std::string &text) : s_(text) {}
+
+    std::unique_ptr<JsonValue>
+    parseDocument()
+    {
+        auto v = std::make_unique<JsonValue>();
+        if (!value(*v))
+            return nullptr;
+        skipSpace();
+        return at_ == s_.size() ? std::move(v) : nullptr;
+    }
+
+  private:
+    void
+    skipSpace()
+    {
+        while (at_ < s_.size() && std::isspace(
+                                      static_cast<unsigned char>(s_[at_])))
+            ++at_;
+    }
+
+    bool
+    literal(const char *word)
+    {
+        const std::string w(word);
+        if (s_.compare(at_, w.size(), w) != 0)
+            return false;
+        at_ += w.size();
+        return true;
+    }
+
+    bool
+    string(std::string &out)
+    {
+        if (at_ >= s_.size() || s_[at_] != '"')
+            return false;
+        for (++at_; at_ < s_.size(); ++at_) {
+            const char c = s_[at_];
+            if (c == '"') {
+                ++at_;
+                return true;
+            }
+            if (static_cast<unsigned char>(c) < 0x20)
+                return false;
+            if (c != '\\') {
+                out += c;
+                continue;
+            }
+            if (++at_ >= s_.size())
+                return false;
+            const char e = s_[at_];
+            const std::string simple = "\"\\/bfnrt";
+            if (simple.find(e) != std::string::npos) {
+                out += e;
+            } else if (e == 'u') {
+                for (int k = 0; k < 4; ++k)
+                    if (++at_ >= s_.size() ||
+                        !std::isxdigit(static_cast<unsigned char>(s_[at_])))
+                        return false;
+                out += '?';
+            } else {
+                return false;
+            }
+        }
+        return false;
+    }
+
+    bool
+    number(double &out)
+    {
+        const std::size_t start = at_;
+        if (at_ < s_.size() && s_[at_] == '-')
+            ++at_;
+        const std::size_t digits = at_;
+        while (at_ < s_.size() &&
+               (std::isdigit(static_cast<unsigned char>(s_[at_])) ||
+                std::string(".eE+-").find(s_[at_]) != std::string::npos))
+            ++at_;
+        if (at_ == digits ||
+            !std::isdigit(static_cast<unsigned char>(s_[digits])))
+            return false;
+        const std::string token = s_.substr(start, at_ - start);
+        char *end = nullptr;
+        out = std::strtod(token.c_str(), &end);
+        return end == token.c_str() + token.size();
+    }
+
+    bool
+    value(JsonValue &v)
+    {
+        skipSpace();
+        if (at_ >= s_.size())
+            return false;
+        const char c = s_[at_];
+        if (c == '{') {
+            v.type = JsonValue::Type::Object;
+            ++at_;
+            skipSpace();
+            if (at_ < s_.size() && s_[at_] == '}') {
+                ++at_;
+                return true;
+            }
+            for (;;) {
+                skipSpace();
+                std::string key;
+                if (!string(key))
+                    return false;
+                skipSpace();
+                if (at_ >= s_.size() || s_[at_++] != ':')
+                    return false;
+                if (v.fields.count(key) != 0 || !value(v.fields[key]))
+                    return false;
+                skipSpace();
+                if (at_ >= s_.size())
+                    return false;
+                if (s_[at_] == '}') {
+                    ++at_;
+                    return true;
+                }
+                if (s_[at_++] != ',')
+                    return false;
+            }
+        }
+        if (c == '[') {
+            v.type = JsonValue::Type::Array;
+            ++at_;
+            skipSpace();
+            if (at_ < s_.size() && s_[at_] == ']') {
+                ++at_;
+                return true;
+            }
+            for (;;) {
+                v.items.emplace_back();
+                if (!value(v.items.back()))
+                    return false;
+                skipSpace();
+                if (at_ >= s_.size())
+                    return false;
+                if (s_[at_] == ']') {
+                    ++at_;
+                    return true;
+                }
+                if (s_[at_++] != ',')
+                    return false;
+            }
+        }
+        if (c == '"') {
+            v.type = JsonValue::Type::String;
+            return string(v.text);
+        }
+        if (literal("null"))
+            return true;
+        if (literal("true") || literal("false")) {
+            v.type = JsonValue::Type::Bool;
+            return true;
+        }
+        v.type = JsonValue::Type::Number;
+        return number(v.number);
+    }
+
+    const std::string &s_;
+    std::size_t at_ = 0;
+};
+
+/** The guoq-bench-v1 shape: schema, run block and typed result rows. */
+::testing::AssertionResult
+hasBenchShape(const std::string &doc, std::size_t rows)
+{
+    using T = JsonValue::Type;
+    JsonParser parser(doc);
+    const std::unique_ptr<JsonValue> root = parser.parseDocument();
+    if (!root)
+        return ::testing::AssertionFailure() << "not JSON:\n" << doc;
+    auto field = [](const JsonValue &obj, const std::string &key,
+                    T type) -> const JsonValue * {
+        if (obj.type != T::Object)
+            return nullptr;
+        const auto it = obj.fields.find(key);
+        return it != obj.fields.end() && it->second.type == type
+                   ? &it->second
+                   : nullptr;
+    };
+    const JsonValue *schema = field(*root, "schema", T::String);
+    if (schema == nullptr || schema->text != "guoq-bench-v1")
+        return ::testing::AssertionFailure() << "schema";
+    const JsonValue *run = field(*root, "run", T::Object);
+    if (run == nullptr)
+        return ::testing::AssertionFailure() << "no run block";
+    for (const char *key : {"scale", "trials", "seed", "threads"})
+        if (field(*run, key, T::Number) == nullptr)
+            return ::testing::AssertionFailure() << "run." << key;
+    if (field(*run, "cases", T::Array) == nullptr ||
+        field(*run, "machine", T::Object) == nullptr)
+        return ::testing::AssertionFailure() << "run.cases/machine";
+    const JsonValue *results = field(*root, "results", T::Array);
+    if (results == nullptr || results->items.size() != rows)
+        return ::testing::AssertionFailure() << "results";
+    for (const JsonValue &row : results->items) {
+        for (const char *key :
+             {"case", "benchmark", "tool", "algorithm", "metric"})
+            if (field(row, key, T::String) == nullptr)
+                return ::testing::AssertionFailure() << "row." << key;
+        for (const char *key : {"value", "seconds"})
+            if (field(row, key, T::Number) == nullptr &&
+                field(row, key, T::Null) == nullptr)
+                return ::testing::AssertionFailure() << "row." << key;
+        for (const char *key :
+             {"trial", "seed", "synth_cache_hits", "synth_cache_misses",
+              "synth_cache_stores"})
+            if (field(row, key, T::Number) == nullptr)
+                return ::testing::AssertionFailure() << "row." << key;
+        if (field(row, "workers", T::Array) == nullptr)
+            return ::testing::AssertionFailure() << "row.workers";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(BenchEmit, JsonParsesWithTheBenchShape)
+{
+    EXPECT_TRUE(hasBenchShape(bench::toJson(goldenMeta(), goldenResults()),
+                              3));
+    EXPECT_TRUE(hasBenchShape(bench::toJson(bench::RunMeta{}, {}), 0));
+    CaseResult odd;
+    odd.caseId = "c";
+    odd.value = std::nan("");
+    odd.seconds = -std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(hasBenchShape(bench::toJson(goldenMeta(), {odd}), 1));
+    // The checker is not vacuous.
+    EXPECT_FALSE(hasBenchShape("{\"schema\": \"guoq-bench-v1\",}", 0));
+    EXPECT_FALSE(hasBenchShape(
+        bench::toJson(goldenMeta(), goldenResults()) + "x", 3));
+    EXPECT_FALSE(hasBenchShape(bench::toJson(goldenMeta(), {}), 1));
 }
 
 TEST(BenchEmit, EscapingHelpers)

@@ -189,22 +189,44 @@ TEST_F(CliTest, MalformedInputExitsOneWithLocation)
     EXPECT_TRUE(r.out.empty());
 }
 
-TEST_F(CliTest, VerifyPrecheckFailsBeforeSpendingTheBudget)
+/** A 26-qubit GHZ-style input: past the dense and sampling caps. */
+std::string
+wideQasm()
 {
-    // 26 qubits is past every verification backend's cap; the check
-    // must refuse the input up front instead of after --time 600.
     std::string qasm = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
                        "qreg q[26];\nh q[0];\n";
     for (int i = 0; i < 25; ++i)
         qasm += "cx q[" + std::to_string(i) + "], q[" +
                 std::to_string(i + 1) + "];\n";
-    writeFile(dir_ / "wide.qasm", qasm);
+    return qasm;
+}
+
+TEST_F(CliTest, VerifyPrecheckFailsBeforeSpendingTheBudget)
+{
+    // phase-poly records no derivation, and 26 qubits is past the
+    // dense and sampling caps; the check must refuse the input up
+    // front instead of after --time 600.
+    writeFile(dir_ / "wide.qasm", wideQasm());
     const Result r = run("--in '" + (dir_ / "wide.qasm").string() +
-                         "' --verify --time 600");
+                         "' --algorithm phase-poly --verify --time 600");
     EXPECT_EQ(r.status, 1);
     EXPECT_NE(r.err.find("--verify"), std::string::npos) << r.err;
     EXPECT_EQ(r.err.find("iterations total"), std::string::npos) << r.err;
     EXPECT_TRUE(r.out.empty());
+}
+
+TEST_F(CliTest, WideSingleFileGuoqRunIsCertified)
+{
+    // Single-thread guoq records its derivation, so `auto` certifies
+    // the output at any width instead of refusing the input.
+    writeFile(dir_ / "wide.qasm", wideQasm());
+    const Result r = run("--in '" + (dir_ / "wide.qasm").string() +
+                         "' --verify --iterations 200 --seed 1");
+    EXPECT_EQ(r.status, 0) << r.err;
+    EXPECT_NE(r.err.find("verified (certificate)"), std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find(": equivalent"), std::string::npos) << r.err;
+    EXPECT_NE(r.out.find("qreg q[26];"), std::string::npos) << r.out;
 }
 
 TEST_F(CliTest, BatchFailureExitsOneUnlessKeepGoing)

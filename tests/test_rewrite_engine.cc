@@ -20,7 +20,10 @@
  *  - fusion: under random interleavings of rule passes, fusion moves
  *    and wholesale assigns, every prepareFusion verdict equals
  *    transpile::fuseOneQubitRuns, and the per-wire fusion marks
- *    survive a from-scratch re-check after every step.
+ *    survive a from-scratch re-check after every step;
+ *  - skipped probes: the compiled second-gate check admits every
+ *    anchor where matchAt succeeds, and the per-rule no-match memo
+ *    lasts exactly until the circuit changes.
  */
 
 #include <cmath>
@@ -40,6 +43,7 @@
 #include "support/rng.h"
 #include "tests/test_util.h"
 #include "transpile/to_gate_set.h"
+#include "workloads/suite.h"
 #include "workloads/variational.h"
 
 namespace {
@@ -449,6 +453,134 @@ TEST(RewriteEngineSoundness, MisorderedSecondMatchIsSkipped)
 }
 
 // ---------------------------------------------------------------------
+// Skipped probes: the second-gate check and the no-match memo.
+// ---------------------------------------------------------------------
+
+/** The rule named @p name in @p set's library. */
+const rewrite::RewriteRule &
+ruleNamed(ir::GateSetKind set, const std::string &name)
+{
+    for (const rewrite::RewriteRule &r : rewrite::rulesFor(set))
+        if (r.name() == name)
+            return r;
+    ADD_FAILURE() << "no rule " << name;
+    return rewrite::rulesFor(set).front();
+}
+
+TEST(RewriteEngineSkips, SecondGateCheckAdmitsEveryMatch)
+{
+    long matches = 0;
+    long rejected = 0;
+    for (const ir::GateSetKind set : kAllSets) {
+        std::vector<ir::Circuit> circuits;
+        for (std::uint64_t s = 0; s < 4; ++s) {
+            ir::Circuit raw = workloads::randomCircuit(6, 80, 500 + s);
+            if (set == ir::GateSetKind::CliffordT) {
+                // Only the exactly representable gates lower to it.
+                ir::Circuit exact(raw.numQubits());
+                for (const ir::Gate &g : raw.gates())
+                    if (g.kind != ir::GateKind::Rz)
+                        exact.add(g);
+                raw = std::move(exact);
+            }
+            circuits.push_back(transpile::toGateSet(raw, set));
+        }
+        support::Rng rng(17 + static_cast<std::uint64_t>(set));
+        for (int k = 0; k < 4; ++k)
+            circuits.push_back(
+                testutil::randomNativeCircuit(set, 5, 80, rng));
+        for (workloads::Benchmark &b : workloads::suiteFor(set))
+            circuits.push_back(std::move(b.circuit));
+
+        rewrite::MatchScratch scratch;
+        for (const ir::Circuit &c : circuits) {
+            const dag::CircuitDag dag(c);
+            for (const rewrite::RewriteRule &rule : rewrite::rulesFor(set)) {
+                for (std::size_t a = 0; a < c.size(); ++a) {
+                    if (c.gate(a).kind != rule.pattern().front().kind)
+                        continue;
+                    const bool admits =
+                        rewrite::secondGateAdmits(c, dag, rule, a);
+                    rejected += admits ? 0 : 1;
+                    if (!rewrite::matchAt(c, dag, rule, a, scratch))
+                        continue;
+                    ++matches;
+                    ASSERT_TRUE(admits) << ir::gateSetName(set) << " "
+                                        << rule.name() << " anchor " << a;
+                }
+            }
+        }
+    }
+    // Neither side of the implication is vacuous.
+    EXPECT_GT(matches, 1000);
+    EXPECT_GT(rejected, matches);
+}
+
+TEST(RewriteEngineSkips, RuleWhoseSecondGateIsUnlinkedNeverProbes)
+{
+    // Gate 1 of hh_cx_hh_flip, H(1), shares no wire with gate 0, H(0):
+    // matchAt can never locate it, and the check says so up front.
+    const rewrite::RewriteRule &rule =
+        ruleNamed(ir::GateSetKind::Nam, "hh_cx_hh_flip");
+    EXPECT_TRUE(rule.secondGate().present);
+    EXPECT_EQ(rule.secondGate().numLinks, 0);
+    ir::Circuit c(2);
+    c.h(0);
+    c.h(1);
+    c.cx(0, 1);
+    c.h(0);
+    c.h(1);
+    const dag::CircuitDag dag(c);
+    EXPECT_FALSE(rewrite::secondGateAdmits(c, dag, rule, 0));
+}
+
+TEST(RewriteEngineSkips, NoMatchMemoLastsUntilTheCircuitChanges)
+{
+    const ir::GateSetKind set = ir::GateSetKind::Nam;
+    const rewrite::RewriteRule &hh = ruleNamed(set, "h_h_cancel");
+    const rewrite::RewriteRule &xx = ruleNamed(set, "x_x_cancel");
+    ir::Circuit c(1);
+    c.h(0);
+    c.x(0);
+    c.x(0);
+    c.h(0);
+    rewrite::RewriteEngine engine{ir::Circuit(c)};
+    for (std::size_t anchor = 0; anchor < c.size(); ++anchor)
+        EXPECT_FALSE(engine.preparePass(hh, anchor).has_value());
+    // A copy shares the rule's id, so it shares the memo too.
+    const rewrite::RewriteRule copy = hh;
+    EXPECT_FALSE(engine.preparePass(copy, 0).has_value());
+    engine.checkInvariants();
+
+    ASSERT_TRUE(engine.preparePass(xx, 0).has_value());
+    engine.commit();
+    const auto att = engine.preparePass(hh, 1);
+    ASSERT_TRUE(att.has_value());
+    EXPECT_EQ(att->applications, 1);
+    engine.commit();
+    EXPECT_TRUE(engine.circuit().empty());
+    engine.checkInvariants();
+}
+
+TEST(RewriteEngineSkips, AssignForgetsTheNoMatchMemo)
+{
+    const ir::GateSetKind set = ir::GateSetKind::Nam;
+    const rewrite::RewriteRule &xx = ruleNamed(set, "x_x_cancel");
+    ir::Circuit quiet(1);
+    quiet.x(0);
+    quiet.h(0);
+    ir::Circuit busy(1);
+    busy.x(0);
+    busy.x(0);
+    rewrite::RewriteEngine engine{ir::Circuit(quiet)};
+    EXPECT_FALSE(engine.preparePass(xx, 0).has_value());
+    engine.assign(ir::Circuit(busy));
+    ASSERT_TRUE(engine.preparePass(xx, 0).has_value());
+    engine.discard();
+    engine.checkInvariants();
+}
+
+// ---------------------------------------------------------------------
 // Cached counters.
 // ---------------------------------------------------------------------
 
@@ -561,6 +693,23 @@ TEST(RewriteEngineDeath, CheckInvariantsCatchesStaleFusionMark)
     engine.checkInvariants(); // wire 0 is now marked clean
     tamper(engine);
     EXPECT_DEATH(engine.checkInvariants(), "fusion-clean");
+}
+
+TEST(RewriteEngineDeath, CheckInvariantsCatchesStaleNoMatchMemo)
+{
+    // Zeroing the Rz angle makes rz_zero_drop match, yet kinds, counts
+    // and wires are all unchanged, so only the memo re-check can see
+    // it.
+    const rewrite::RewriteRule &drop =
+        ruleNamed(ir::GateSetKind::Nam, "rz_zero_drop");
+    ir::Circuit c(2);
+    c.cx(0, 1);
+    c.rz(0.5, 0);
+    rewrite::RewriteEngine engine{ir::Circuit(c)};
+    ASSERT_FALSE(engine.preparePass(drop, 0).has_value());
+    engine.checkInvariants(); // the memo holds
+    const_cast<ir::Circuit &>(engine.circuit()).gates()[1].params[0] = 0.0;
+    EXPECT_DEATH(engine.checkInvariants(), "memoized as matchless");
 }
 
 TEST(RewriteEngineDeath, UnresolvedPassRefusesNextPass)

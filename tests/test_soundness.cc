@@ -7,10 +7,12 @@
  *
  *  - the dense distance between input and output is within the
  *    reported errorBound (+1e-6, the dense checker's noise floor);
- *  - at ε = 0 it is within 1e-6 outright;
- *  - for the guoq family, which records a derivation, the certificate
- *    checks and its distance is an upper bound of the true distance
- *    (measured without hsDistance's ~1e-8 cancellation floor).
+ *  - at ε = 0 it is within 1e-6 outright, and every optimizer
+ *    reports errorBound == 0 (none spends budget it was not given);
+ *  - for every optimizer whose info() says it records a derivation
+ *    (the guoq family), the certificate checks and its distance is an
+ *    upper bound of the true distance (measured without hsDistance's
+ *    ~1e-8 cancellation floor).
  */
 
 #include <gtest/gtest.h>
@@ -106,12 +108,14 @@ TEST(EpsilonSoundness, EveryOptimizerStaysWithinItsBoundOnItsOutputs)
                     const double d = dense->run(in, rep.circuit, vreq)
                                          .distanceEstimate;
                     EXPECT_LE(d, rep.errorBound + 1e-6) << what;
-                    if (eps == 0)
+                    if (eps == 0) {
                         EXPECT_LE(d, 1e-6) << what;
-                    else
+                        EXPECT_EQ(rep.errorBound, 0.0) << what;
+                    } else {
                         EXPECT_LE(rep.errorBound, eps + 1e-12) << what;
+                    }
                     ++runs;
-                    if (!guoq)
+                    if (!opt->info().recordsDerivation)
                         continue;
                     ASSERT_TRUE(rep.derivation.recorded()) << what;
                     vreq.tolerance = 1e-6;

@@ -601,8 +601,13 @@ runSingle(const CliOptions &opt)
     // depends on the input circuit, and unlike batch mode there is no
     // other file to carry on with.
     // The certificate's precondition, a recorded derivation, only
-    // exists after the run.
-    if (opt.verify && opt.verifyMethod != "certificate") {
+    // exists after the run. `auto` certifies at any width whenever
+    // the run records one, so it is only prechecked when it will not.
+    const bool certifies =
+        opt.verifyMethod == "certificate" ||
+        (opt.verifyMethod == "auto" &&
+         opt.optimizer->info().recordsDerivation && opt.cfg.threads == 1);
+    if (opt.verify && !certifies) {
         const std::string err = opt.checker->checkRequest(
             input, input, opt.verifyRequest());
         if (!err.empty())
