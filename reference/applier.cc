@@ -13,7 +13,9 @@ Matcher::Matcher(const ir::Circuit &c) : circuit_(c), dag_(c) {}
 std::optional<Match>
 Matcher::matchAt(const RewriteRule &rule, std::size_t anchor) const
 {
-    return rewrite::matchAt(circuit_, dag_, rule, anchor, scratch_);
+    if (!rewrite::matchAt(circuit_, dag_, rule, anchor, scratch_))
+        return std::nullopt;
+    return scratch_.match;
 }
 
 PassResult
@@ -80,9 +82,10 @@ applyRulePass(const ir::Circuit &c, const RewriteRule &rule,
         accepted.push_back(std::move(mine));
         for (std::size_t gi : m->gateIndices)
             used[gi] = true;
-        insertions.emplace(m->insertPos,
-                           rule.instantiateReplacement(m->qubitBinding,
-                                                       m->angleBinding));
+        rule.instantiateReplacement(
+            m->qubitBinding, m->angleBinding,
+            insertions.emplace(m->insertPos, std::vector<ir::Gate>())
+                ->second);
         ++result.applications;
     }
 

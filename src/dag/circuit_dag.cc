@@ -13,22 +13,16 @@ CircuitDag::rebuild(const ir::Circuit &c)
     numQubits_ = c.numQubits();
     numGates_ = n;
 
-    arity_.resize(n);
     qubits_.resize(n * kMaxArity);
     nextLink_.resize(n * kMaxArity);
     prevLink_.resize(n * kMaxArity);
     first_.assign(nq, kNoGate);
-    last_.assign(nq, kNoGate);
+    last_.resize(nq);
     frontier_.assign(nq, kNoGate);
 
     for (std::size_t i = 0; i < n; ++i) {
         const ir::Gate &g = c.gate(i);
         const std::size_t m = g.qubits.size();
-        if (m > kMaxArity)
-            support::panic(support::strcat("CircuitDag: gate ", i,
-                                           " arity ", m, " exceeds ",
-                                           kMaxArity));
-        arity_[i] = static_cast<std::int8_t>(m);
         const std::size_t base = i * kMaxArity;
         for (std::size_t k = 0; k < kMaxArity; ++k) {
             qubits_[base + k] = k < m ? g.qubits[k] : -1;
@@ -38,41 +32,26 @@ CircuitDag::rebuild(const ir::Circuit &c)
         for (std::size_t k = 0; k < m; ++k) {
             const auto q = static_cast<std::size_t>(g.qubits[k]);
             const std::size_t p = frontier_[q];
-            prevLink_[base + k] = p;
             if (p == kNoGate) {
                 first_[q] = i;
             } else {
                 // Link the previous gate's slot for this wire to us.
-                nextLink_[p * kMaxArity + slotOf(p, g.qubits[k])] = i;
+                nextLink_[p] = i;
+                prevLink_[base + k] = p / kMaxArity;
             }
-            frontier_[q] = i;
-            last_[q] = i;
+            frontier_[q] = base + k;
         }
     }
+    for (std::size_t q = 0; q < nq; ++q)
+        last_[q] = frontier_[q] == kNoGate ? kNoGate
+                                           : frontier_[q] / kMaxArity;
 }
 
-std::size_t
-CircuitDag::slotOf(std::size_t gate_idx, int q) const
+void
+CircuitDag::missingWire(std::size_t gate_idx, int q)
 {
-    const std::size_t base = gate_idx * kMaxArity;
-    const auto m = static_cast<std::size_t>(arity_[gate_idx]);
-    for (std::size_t s = 0; s < m; ++s)
-        if (qubits_[base + s] == q)
-            return s;
     support::panic(support::strcat("CircuitDag: gate ", gate_idx,
                                    " does not act on qubit ", q));
-}
-
-std::size_t
-CircuitDag::next(std::size_t gate_idx, int q) const
-{
-    return nextLink_[gate_idx * kMaxArity + slotOf(gate_idx, q)];
-}
-
-std::size_t
-CircuitDag::prev(std::size_t gate_idx, int q) const
-{
-    return prevLink_[gate_idx * kMaxArity + slotOf(gate_idx, q)];
 }
 
 std::size_t

@@ -30,7 +30,7 @@ class CircuitDag
 {
   public:
     /** Widest gate the index supports (CCX/CCZ). */
-    static constexpr std::size_t kMaxArity = 3;
+    static constexpr std::size_t kMaxArity = ir::kMaxGateArgs;
 
     /** An empty index; rebuild() attaches it to a circuit. */
     CircuitDag() = default;
@@ -45,7 +45,11 @@ class CircuitDag
     void rebuild(const ir::Circuit &c);
 
     /** Index of the next gate after @p gate_idx on wire @p q. */
-    std::size_t next(std::size_t gate_idx, int q) const;
+    std::size_t
+    next(std::size_t gate_idx, int q) const
+    {
+        return nextLink_[slotOf(gate_idx, q)];
+    }
 
     /**
      * Index of the next gate after @p gate_idx on the wire of its
@@ -59,7 +63,11 @@ class CircuitDag
     }
 
     /** Index of the previous gate before @p gate_idx on wire @p q. */
-    std::size_t prev(std::size_t gate_idx, int q) const;
+    std::size_t
+    prev(std::size_t gate_idx, int q) const
+    {
+        return prevLink_[slotOf(gate_idx, q)];
+    }
 
     /** First / last gate on wire @p q (kNoGate when the wire is idle). */
     std::size_t firstOnWire(int q) const;
@@ -69,20 +77,40 @@ class CircuitDag
     std::size_t numGates() const { return numGates_; }
 
   private:
-    /** Slot of wire q within gate i's qubit list (panics if absent). */
-    std::size_t slotOf(std::size_t gate_idx, int q) const;
+    /**
+     * The flat slot index of wire @p q within gate @p gate_idx (panics
+     * if the gate does not act on q). Unused slots hold qubit -1, so
+     * the search needs no arity.
+     */
+    std::size_t
+    slotOf(std::size_t gate_idx, int q) const
+    {
+        static_assert(kMaxArity == 3, "slotOf searches three slots");
+        const std::size_t base = gate_idx * kMaxArity;
+        const int *qs = qubits_.data() + base;
+        if (qs[0] == q)
+            return base;
+        if (qs[1] == q)
+            return base + 1;
+        if (qs[2] == q)
+            return base + 2;
+        missingWire(gate_idx, q);
+    }
+
+    [[noreturn]] static void missingWire(std::size_t gate_idx, int q);
 
     int numQubits_ = 0;
     std::size_t numGates_ = 0;
-    // Per gate: arity, then kMaxArity slots of (qubit, next, prev).
-    // Unused slots hold qubit -1 / kNoGate links.
-    std::vector<std::int8_t> arity_;
+    // Per gate, kMaxArity slots of (qubit, next, prev). Unused slots
+    // hold qubit -1 / kNoGate links.
     std::vector<int> qubits_;
     std::vector<std::size_t> nextLink_;
     std::vector<std::size_t> prevLink_;
     std::vector<std::size_t> first_;
     std::vector<std::size_t> last_;
-    std::vector<std::size_t> frontier_; // rebuild scratch, per qubit
+    // rebuild scratch, per qubit: the flat slot of the wire's latest
+    // gate so far
+    std::vector<std::size_t> frontier_;
 };
 
 } // namespace dag

@@ -33,10 +33,10 @@ Circuit::add(Gate g)
 }
 
 void
-Circuit::add(GateKind kind, std::vector<int> qubits,
-             std::vector<double> params)
+Circuit::add(GateKind kind, GateArgsRef<int> qubits,
+             GateArgsRef<double> params)
 {
-    add(Gate(kind, std::move(qubits), std::move(params)));
+    add(Gate(kind, qubits, params));
 }
 
 void

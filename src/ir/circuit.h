@@ -48,8 +48,8 @@ class Circuit
 
     /** Append a gate (validates qubit indices). */
     void add(Gate g);
-    void add(GateKind kind, std::vector<int> qubits,
-             std::vector<double> params = {});
+    void add(GateKind kind, GateArgsRef<int> qubits,
+             GateArgsRef<double> params = {});
 
     /** @name Builders (named after their OpenQASM mnemonics) */
     /** @{ */

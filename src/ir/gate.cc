@@ -9,23 +9,32 @@
 namespace guoq {
 namespace ir {
 
-Gate::Gate(GateKind k, std::vector<int> qs, std::vector<double> ps)
-    : kind(k), qubits(std::move(qs)), params(std::move(ps))
+Gate::Gate(GateKind k, GateArgsRef<int> qs, GateArgsRef<double> ps)
+    : kind(k)
 {
-    if (static_cast<int>(qubits.size()) != gateArity(kind))
+    const std::span<const int> q = qs.span();
+    const std::span<const double> p = ps.span();
+    if (static_cast<int>(q.size()) != gateArity(kind))
         support::panic(support::strcat("Gate(", gateName(kind), "): want ",
                                        gateArity(kind), " qubits, got ",
-                                       qubits.size()));
-    if (static_cast<int>(params.size()) != gateParamCount(kind))
+                                       q.size()));
+    if (static_cast<int>(p.size()) != gateParamCount(kind))
         support::panic(support::strcat("Gate(", gateName(kind), "): want ",
                                        gateParamCount(kind),
-                                       " params, got ", params.size()));
+                                       " params, got ", p.size()));
+    std::copy(q.begin(), q.end(), qubits.v_.begin());
+    qubits.n_ = static_cast<std::uint8_t>(q.size());
+    std::copy(p.begin(), p.end(), params.v_.begin());
+    params.n_ = static_cast<std::uint8_t>(p.size());
 }
 
 linalg::ComplexMatrix
 Gate::matrix() const
 {
-    return gateMatrix(kind, params);
+    const std::size_t dim = std::size_t{1} << arity();
+    linalg::ComplexMatrix m(dim, dim);
+    gateMatrixInto(kind, params.data(), m.data());
+    return m;
 }
 
 std::vector<Gate>

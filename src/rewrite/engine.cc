@@ -1,6 +1,7 @@
 #include "rewrite/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <span>
@@ -40,7 +41,111 @@ forEachRun(const ir::Circuit &c, const dag::CircuitDag &dag, int q,
     }
 }
 
+/** One step of the fusion memo's key hash. */
+std::uint64_t
+mix(std::uint64_t h, std::uint64_t w)
+{
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 29);
+}
+
 } // namespace
+
+bool
+FusionMemo::shrinks(std::span<const ir::Gate *const> run,
+                    ir::GateSetKind set, transpile::OneQubitSeq &fused)
+{
+    std::size_t words = 1 + run.size();
+    for (const ir::Gate *g : run)
+        words += g->params.size();
+    if (words > kMaxKeyWords)
+        return transpile::fuseRun(run, set, fused);
+    if (slots_.empty()) {
+        slots_.resize(kSlots);
+        keys_.reserve(kMaxKeyWords);
+        probe_.reserve(kMaxKeyWords);
+    }
+    probe_.clear();
+    probe_.push_back(static_cast<std::uint64_t>(set) |
+                     (static_cast<std::uint64_t>(run.size()) << 8));
+    for (const ir::Gate *g : run) {
+        probe_.push_back(static_cast<std::uint64_t>(g->kind));
+        for (const double p : g->params)
+            probe_.push_back(std::bit_cast<std::uint64_t>(p));
+    }
+    std::uint64_t h = 0;
+    for (const std::uint64_t w : probe_)
+        h = mix(h, w);
+
+    std::size_t i = h & (kSlots - 1);
+    for (; slots_[i].keyWords != 0; i = (i + 1) & (kSlots - 1)) {
+        const Slot &s = slots_[i];
+        if (s.hash == h && s.keyWords == words &&
+            std::equal(probe_.begin(), probe_.end(),
+                       keys_.begin() + s.keyBegin))
+            // Only a shrinking run needs the refit itself.
+            return s.shrinks && transpile::fuseRun(run, set, fused);
+    }
+
+    const bool verdict = transpile::fuseRun(run, set, fused);
+    if (size_ == kMaxEntries || keys_.size() + words > kMaxKeyWords) {
+        clear();
+        i = h & (kSlots - 1);
+    }
+    slots_[i] = {h, static_cast<std::uint32_t>(keys_.size()),
+                 static_cast<std::uint32_t>(words), verdict};
+    keys_.insert(keys_.end(), probe_.begin(), probe_.end());
+    ++size_;
+    return verdict;
+}
+
+void
+FusionMemo::clear()
+{
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    keys_.clear();
+    size_ = 0;
+}
+
+void
+FusionMemo::checkInvariants() const
+{
+    std::size_t stored = 0;
+    std::vector<ir::Gate> gates;
+    std::vector<const ir::Gate *> run;
+    transpile::OneQubitSeq fused;
+    for (const Slot &s : slots_) {
+        if (s.keyWords == 0)
+            continue;
+        ++stored;
+        const std::uint64_t *k = keys_.data() + s.keyBegin;
+        const std::uint64_t *end = k + s.keyWords;
+        const auto set = static_cast<ir::GateSetKind>(*k & 0xff);
+        const std::size_t length = *k++ >> 8;
+        gates.clear();
+        for (std::size_t j = 0; j < length; ++j) {
+            const auto kind = static_cast<ir::GateKind>(*k++);
+            std::array<double, ir::kMaxGateArgs> params{};
+            const auto np = static_cast<std::size_t>(
+                ir::gateParamCount(kind));
+            for (std::size_t p = 0; p < np; ++p)
+                params[p] = std::bit_cast<double>(*k++);
+            gates.emplace_back(kind, std::initializer_list<int>{0},
+                               std::span<const double>(params.data(), np));
+        }
+        if (k != end)
+            support::panic("FusionMemo: a key's length disagrees with "
+                           "its gates");
+        run.clear();
+        for (const ir::Gate &g : gates)
+            run.push_back(&g);
+        if (transpile::fuseRun(run, set, fused) != s.shrinks)
+            support::panic("FusionMemo: a stored verdict diverges from "
+                           "fuseRun");
+    }
+    if (stored != size_)
+        support::panic("FusionMemo: entry count diverges from the table");
+}
 
 RewriteEngine::RewriteEngine(ir::Circuit c) : circuit_(std::move(c))
 {
@@ -104,24 +209,24 @@ RewriteEngine::preparePass(const RewriteRule &rule,
     // rule's first pattern gate. Restricted to the kind bucket, that
     // cyclic order is: bucket entries >= start ascending, then the
     // wrapped prefix.
-    const auto &bucket =
-        buckets_[static_cast<std::size_t>(rule.pattern().front().kind)];
+    const std::span<const std::size_t> anchors =
+        bucket(rule.pattern().front().kind);
     const auto split = static_cast<std::size_t>(
-        std::lower_bound(bucket.begin(), bucket.end(), start_anchor) -
-        bucket.begin());
+        std::lower_bound(anchors.begin(), anchors.end(), start_anchor) -
+        anchors.begin());
 
-    for (std::size_t off = 0; off < bucket.size(); ++off) {
+    const Match &m = scratch_.match;
+    for (std::size_t off = 0; off < anchors.size(); ++off) {
         const std::size_t pos = split + off;
         const std::size_t anchor =
-            bucket[pos < bucket.size() ? pos : pos - bucket.size()];
+            anchors[pos < anchors.size() ? pos : pos - anchors.size()];
         if (usedStamp_[anchor] == passEpoch_ ||
             !secondGateAdmits(circuit_, dag_, rule, anchor))
             continue;
-        auto m = matchAt(circuit_, dag_, rule, anchor, scratch_);
-        if (!m)
+        if (!matchAt(circuit_, dag_, rule, anchor, scratch_))
             continue;
         bool overlap = false;
-        for (std::size_t gi : m->gateIndices) {
+        for (std::size_t gi : m.gateIndices) {
             if (usedStamp_[gi] == passEpoch_) {
                 overlap = true;
                 break;
@@ -129,14 +234,19 @@ RewriteEngine::preparePass(const RewriteRule &rule,
         }
         if (overlap)
             continue;
-        if (!admitOnWires(*m))
+        if (!admitOnWires(m))
             continue;
         PendingMatch pm;
-        pm.insertPos = m->insertPos;
-        pm.gateIndices = std::move(m->gateIndices);
-        pm.replacement =
-            rule.instantiateReplacement(m->qubitBinding, m->angleBinding);
-        for (std::size_t gi : pm.gateIndices) {
+        pm.insertPos = m.insertPos;
+        pm.gatesBegin = pendingGates_.size();
+        pendingGates_.insert(pendingGates_.end(), m.gateIndices.begin(),
+                             m.gateIndices.end());
+        pm.gatesEnd = pendingGates_.size();
+        pm.replBegin = pendingRepl_.size();
+        rule.instantiateReplacement(m.qubitBinding, m.angleBinding,
+                                    pendingRepl_);
+        pm.replEnd = pendingRepl_.size();
+        for (std::size_t gi : gatesOf(pm)) {
             usedStamp_[gi] = passEpoch_;
             gateMatch_[gi] = pendingMatches_.size();
             const ir::Gate &g = circuit_.gate(gi);
@@ -148,7 +258,7 @@ RewriteEngine::preparePass(const RewriteRule &rule,
             if (gateLogCost_)
                 pendingFidLogCost_ -= gateLogCost_(g);
         }
-        for (const ir::Gate &g : pm.replacement) {
+        for (const ir::Gate &g : replacementOf(pm)) {
             ++pendingCounts_.gates;
             if (g.arity() == 2)
                 ++pendingCounts_.twoQubit;
@@ -157,7 +267,7 @@ RewriteEngine::preparePass(const RewriteRule &rule,
             if (gateLogCost_)
                 pendingFidLogCost_ += gateLogCost_(g);
         }
-        pendingMatches_.push_back(std::move(pm));
+        pendingMatches_.push_back(pm);
     }
 
     if (pendingMatches_.empty()) {
@@ -165,23 +275,28 @@ RewriteEngine::preparePass(const RewriteRule &rule,
         // would have been taken: the rule matches nowhere, from any
         // start anchor, until the circuit changes.
         const auto id = static_cast<std::size_t>(rule.id());
-        if (id >= noMatchStamp_.size())
+        if (id >= noMatchStamp_.size()) {
             noMatchStamp_.resize(id + 1, 0);
+            // Each rule id is listed at most once per epoch.
+            noMatchRules_.reserve(noMatchStamp_.size());
+        }
         noMatchStamp_[id] = indexEpoch_;
         noMatchRules_.push_back(&rule);
         return std::nullopt;
     }
 
     // Emission order: ascending insertPos, discovery order within a
-    // position — the legacy multimap semantics.
+    // position — the legacy multimap semantics. (std::sort on the pair
+    // is std::stable_sort's order without its temporary buffer.)
     emitOrder_.resize(pendingMatches_.size());
     for (std::size_t i = 0; i < emitOrder_.size(); ++i)
         emitOrder_[i] = i;
-    std::stable_sort(emitOrder_.begin(), emitOrder_.end(),
-                     [this](std::size_t a, std::size_t b) {
-                         return pendingMatches_[a].insertPos <
-                                pendingMatches_[b].insertPos;
-                     });
+    std::sort(emitOrder_.begin(), emitOrder_.end(),
+              [this](std::size_t a, std::size_t b) {
+                  const std::size_t pa = pendingMatches_[a].insertPos;
+                  const std::size_t pb = pendingMatches_[b].insertPos;
+                  return pa < pb || (pa == pb && a < b);
+              });
 
     Attempt a;
     a.applications = static_cast<int>(pendingMatches_.size());
@@ -254,6 +369,7 @@ RewriteEngine::prepareFusion(ir::GateSetKind set)
     Attempt a;
     a.counts = counts_;
     a.fidelityLogCost = fidLogCost_;
+    runScratch_.reserve(circuit_.size());
     transpile::OneQubitSeq fused;
     for (int q = 0; q < circuit_.numQubits(); ++q) {
         std::uint8_t &clean = fusionClean_[static_cast<std::size_t>(q)];
@@ -262,10 +378,9 @@ RewriteEngine::prepareFusion(ir::GateSetKind set)
         bool shrinks = false;
         forEachRun(circuit_, dag_, q, set, runScratch_,
                    [&](std::span<const ir::Gate *const> run) {
-                       if (!transpile::fuseRun(run, set, fused))
+                       if (!fusionMemo_.shrinks(run, set, fused))
                            return;
-                       // The rare firing path: deltas for the counts,
-                       // allocation is fine here.
+                       // The rare firing path: deltas for the counts.
                        shrinks = true;
                        ++a.applications;
                        for (const ir::Gate *g : run) {
@@ -275,7 +390,8 @@ RewriteEngine::prepareFusion(ir::GateSetKind set)
                            if (gateLogCost_)
                                a.fidelityLogCost -= gateLogCost_(*g);
                        }
-                       for (const ir::Gate &g : fused.gates(q)) {
+                       for (std::size_t k = 0; k < fused.size; ++k) {
+                           const ir::Gate g = fused.gate(k, q);
                            ++a.counts.gates;
                            if (ir::isTGate(g.kind))
                                ++a.counts.tGates;
@@ -296,24 +412,23 @@ RewriteEngine::prepareFusion(ir::GateSetKind set)
 }
 
 void
-RewriteEngine::materializeInto(std::vector<ir::Gate> &out, bool move_gates)
+RewriteEngine::materializeInto(std::vector<ir::Gate> &out) const
 {
-    auto &gates = circuit_.gates();
+    const auto &gates = circuit_.gates();
     const std::size_t n = gates.size();
-    // resize + element-wise assignment (not clear + push_back) so the
-    // buffer and each gate's qubit/param storage are reused when warm.
     out.resize(pendingCounts_.gates);
     std::size_t w = 0;
     std::size_t j = 0;
     for (std::size_t i = 0; i <= n; ++i) {
         while (j < emitOrder_.size() &&
                pendingMatches_[emitOrder_[j]].insertPos == i) {
-            for (ir::Gate &g : pendingMatches_[emitOrder_[j]].replacement)
-                out[w++] = move_gates ? std::move(g) : g;
+            for (const ir::Gate &g :
+                 replacementOf(pendingMatches_[emitOrder_[j]]))
+                out[w++] = g;
             ++j;
         }
         if (i < n && usedStamp_[i] != passEpoch_)
-            out[w++] = move_gates ? std::move(gates[i]) : gates[i];
+            out[w++] = gates[i];
     }
     if (w != out.size())
         support::panic("RewriteEngine: pending gate count mismatch");
@@ -338,8 +453,9 @@ RewriteEngine::describePending(ir::DerivationStep &step)
     step.blocks.reserve(pendingMatches_.size());
     for (const PendingMatch &pm : pendingMatches_) {
         ir::DerivationBlock b;
-        b.gates.assign(pm.gateIndices.begin(), pm.gateIndices.end());
-        b.replacement = pm.replacement;
+        b.gates.assign(gatesOf(pm).begin(), gatesOf(pm).end());
+        b.replacement.assign(replacementOf(pm).begin(),
+                             replacementOf(pm).end());
         step.blocks.push_back(std::move(b));
     }
     // The emission order of materializeInto, as references.
@@ -367,7 +483,7 @@ RewriteEngine::candidate()
                 support::panic("RewriteEngine: fusion verdict diverges "
                                "from fuseOneQubitRuns");
         } else {
-            materializeInto(candidate_.gates(), /*move_gates=*/false);
+            materializeInto(candidate_.gates());
         }
         candidateReady_ = true;
     }
@@ -390,20 +506,18 @@ RewriteEngine::commit()
     } else {
         // Only the wires a removed or inserted gate touches change
         // their gate sequence; every other fusion mark stays exact.
-        for (const PendingMatch &pm : pendingMatches_) {
-            for (std::size_t gi : pm.gateIndices)
-                for (int q : circuit_.gate(gi).qubits)
-                    fusionClean_[static_cast<std::size_t>(q)] = 0;
-            for (const ir::Gate &g : pm.replacement)
-                for (int q : g.qubits)
-                    fusionClean_[static_cast<std::size_t>(q)] = 0;
-        }
+        for (std::size_t gi : pendingGates_)
+            for (int q : circuit_.gate(gi).qubits)
+                fusionClean_[static_cast<std::size_t>(q)] = 0;
+        for (const ir::Gate &g : pendingRepl_)
+            for (int q : g.qubits)
+                fusionClean_[static_cast<std::size_t>(q)] = 0;
         if (candidateReady_) {
             // The pass was already materialized for a cost
             // evaluation: adopt it wholesale instead of re-emitting.
             circuit_.gates().swap(candidate_.gates());
         } else {
-            materializeInto(gateScratch_, /*move_gates=*/true);
+            materializeInto(gateScratch_);
             circuit_.gates().swap(gateScratch_);
         }
     }
@@ -423,6 +537,8 @@ void
 RewriteEngine::clearPending()
 {
     pendingMatches_.clear();
+    pendingGates_.clear();
+    pendingRepl_.clear();
     emitOrder_.clear();
     candidateReady_ = false;
     pendingFusion_ = false;
@@ -453,12 +569,27 @@ RewriteEngine::reindex()
 {
     forgetNoMatches();
     dag_.rebuild(circuit_);
-    for (auto &b : buckets_)
-        b.clear();
+    // Counting sort into the flat buckets: ascending within each kind.
     const auto &gates = circuit_.gates();
+    bucketStart_.fill(0);
+    for (const ir::Gate &g : gates)
+        ++bucketStart_[static_cast<std::size_t>(g.kind) + 1];
+    for (std::size_t k = 0; k < kNumKinds; ++k)
+        bucketStart_[k + 1] += bucketStart_[k];
+    bucketGates_.resize(gates.size());
+    std::array<std::size_t, kNumKinds> fill{};
+    std::copy(bucketStart_.begin(), bucketStart_.end() - 1, fill.begin());
     for (std::size_t i = 0; i < gates.size(); ++i)
-        buckets_[static_cast<std::size_t>(gates[i].kind)].push_back(i);
+        bucketGates_[fill[static_cast<std::size_t>(gates[i].kind)]++] = i;
     usedStamp_.resize(gates.size(), 0);
+    // A pass consumes each gate at most once, so the pending-pass
+    // arenas hold at most n entries (and n replacement gates unless a
+    // rule grows the circuit; no library rule does): reserving them
+    // here keeps passes on a circuit that does not grow allocation-free.
+    pendingMatches_.reserve(gates.size());
+    pendingGates_.reserve(gates.size());
+    pendingRepl_.reserve(gates.size());
+    emitOrder_.reserve(gates.size());
 }
 
 void
@@ -491,11 +622,14 @@ RewriteEngine::checkInvariants() const
                            "diverges from a fresh scan");
     }
 
-    std::size_t bucketed = 0;
-    for (std::size_t k = 0; k < buckets_.size(); ++k) {
+    if (bucketStart_[0] != 0 || bucketStart_[kNumKinds] != gates.size() ||
+        bucketGates_.size() != gates.size())
+        support::panic("RewriteEngine: kind buckets do not cover the "
+                       "gate list");
+    for (std::size_t k = 0; k < kNumKinds; ++k) {
         std::size_t prev_idx = 0;
         bool first = true;
-        for (std::size_t gi : buckets_[k]) {
+        for (std::size_t gi : bucket(static_cast<ir::GateKind>(k))) {
             if (gi >= gates.size() ||
                 gates[gi].kind != static_cast<ir::GateKind>(k))
                 support::panic("RewriteEngine: kind bucket entry does "
@@ -505,12 +639,8 @@ RewriteEngine::checkInvariants() const
                                "ascending order");
             prev_idx = gi;
             first = false;
-            ++bucketed;
         }
     }
-    if (bucketed != gates.size())
-        support::panic("RewriteEngine: kind buckets do not cover the "
-                       "gate list");
 
     const dag::CircuitDag fresh(circuit_);
     if (dag_.numGates() != fresh.numGates() ||
@@ -533,6 +663,8 @@ RewriteEngine::checkInvariants() const
                 support::panic(support::strcat(
                     "RewriteEngine: rule ", rule->name(),
                     " is memoized as matchless but matches at gate ", gi));
+
+    fusionMemo_.checkInvariants();
 
     // A clean mark is a claim that no run on the wire shrinks: re-check
     // it from scratch. (Unmarked wires claim nothing.)

@@ -13,25 +13,29 @@
  * working circuit together with a persistent wire index and
  * per-GateKind anchor buckets:
  *
- *   circuit_  ──┬── dag_         (CircuitDag, rebuilt in place, no alloc)
- *               ├── buckets_     (GateKind -> ascending gate indices)
- *               └── fusionClean_ (per wire: "no 1q run here shrinks")
+ *   circuit_  ──┬── dag_         (CircuitDag, rebuilt in place)
+ *               ├── buckets      (GateKind -> ascending gate indices,
+ *               │                 one flat counting-sorted array)
+ *               ├── fusionClean_ (per wire: "no 1q run here shrinks")
+ *               └── fusionMemo_  (run content -> fuseRun verdict;
+ *                                 outlives the circuit)
  *
  *   preparePass(rule)  O(1) when the rule's last pass since the
  *                      last reindex() found no match (the no-match
- *                      memo); otherwise probe buckets_[pattern[0].kind]
- *                      in the legacy cyclic anchor order, calling
- *                      matchAt only on anchors that pass the O(1)
- *                      second-gate check (matcher.h secondGateAdmits)
- *                                                   — O(bucket) +
+ *                      memo); otherwise probe the bucket of
+ *                      pattern[0].kind in the legacy cyclic anchor
+ *                      order, calling matchAt only on anchors that
+ *                      pass the O(1) second-gate check (matcher.h
+ *                      secondGateAdmits)            — O(bucket) +
  *                                                     O(admitted·|pat|)
- *   prepareFusion(set) refit only the 1q runs on wires not marked
- *                      clean                        — O(dirty wires)
+ *   prepareFusion(set) look up the 1q runs on wires not marked clean
+ *                      in the fusion memo; refit only runs never seen
+ *                      or known to shrink           — O(dirty wires)
  *   commit()           one compaction sweep + a full reindex() of
- *                      dag_ and buckets_ — O(n), accepted moves only;
- *                      clears the fusion mark of every wire a removed
- *                      or inserted gate touches
- *   discard()          drop the pending move        — O(matches)
+ *                      dag_ and the buckets — O(n), accepted moves
+ *                      only; clears the fusion mark of every wire a
+ *                      removed or inserted gate touches
+ *   discard()          drop the pending move        — O(1)
  *
  * so a *rejected* attempt (the overwhelming majority in a Metropolis
  * search) costs bucket probes instead of several full-circuit passes,
@@ -41,20 +45,39 @@
  * configured) are maintained as deltas from the removed/inserted gate
  * lists instead of re-scanned.
  *
+ * None of this allocates once warm, on a circuit that does not grow:
+ * ir::Gate holds its qubits and params inline, matchAt builds its
+ * match in MatchScratch, a pass's matched gate indices and
+ * replacement gates go to two arenas reused by every pass, and every
+ * index buffer only grows (tests/test_engine_alloc.cc counts the
+ * calls to operator new). Only committing a fusion builds a new
+ * gate list.
+ *
  * Measured on the ε = 0 GUOQ loop (perfbench exact_rewrite, seed 1,
  * gprof): 89% of passes find no match, and the two filters cut
- * matchAt calls from 49.9M to 6.1M over the same 2.0M passes. They are exact, not heuristic: the second-gate
- * check rejects only anchors where matchAt's own search for pattern
- * gate 1 fails, and a pass with nothing pending has seen matchAt fail
- * at every anchor, which no start anchor changes. A Rete-style index
- * of matching anchors, repaired after each commit, was tried and
- * dropped: its repairs cost more matchAt calls than it saved.
+ * matchAt calls from 49.9M to 6.1M over the same 2.0M passes. They
+ * are exact, not heuristic: the second-gate check rejects only
+ * anchors where matchAt's own search for pattern gate 1 fails, and a
+ * pass with nothing pending has seen matchAt fail at every anchor,
+ * which no start anchor changes. A Rete-style index of matching
+ * anchors, repaired after each commit, was tried and dropped: its
+ * repairs cost more matchAt calls than it saved. With the filters
+ * and the flat loop in place, commit() (the compaction sweep,
+ * CircuitDag::rebuild and the bucket sort) is the largest remaining
+ * share of the loop; a commit that splices the index locally instead
+ * was tried too, but wire-adjacent gates lie far apart in the gate
+ * list, so its windows span most of the circuit.
  *
  * The fusion marks are exact rather than heuristic: a wire's 1q runs,
  * and so their fusion verdicts (transpile::fuseRun), depend only on
  * the gate sequence of that wire, and a commit leaves the sequence of
  * every wire it does not touch unchanged. assign() and release()
  * clear every mark, and so does a prepareFusion for another gate set.
+ * The fusion memo is exact for the same reason: a verdict depends
+ * only on the run's gate set, kinds and param bits, which form its
+ * key, so it stays valid across commits and assign(). GUOQ draws the
+ * same few hundred distinct runs millions of times, so almost every
+ * lookup hits.
  *
  * Equivalence contract: for any (circuit, rule, anchor), a
  * preparePass + commit yields bit-for-bit the gate list of the legacy
@@ -72,6 +95,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dag/circuit_dag.h"
@@ -81,9 +105,66 @@
 #include "rewrite/matcher.h"
 #include "rewrite/rule.h"
 #include "support/rng.h"
+#include "transpile/decompose.h"
 
 namespace guoq {
 namespace rewrite {
+
+/**
+ * Memoized transpile::fuseRun verdicts. The key is a run's exact
+ * content: the gate set, the length, each gate's kind and the bit
+ * pattern of each param. A verdict does not depend on the wire, so
+ * equal runs on any wire or circuit share one entry. Every hit
+ * compares the full key. The table and the key store have a fixed
+ * capacity, reserved on first use, and the memo is cleared when
+ * either is full, so it never allocates after that first use.
+ */
+class FusionMemo
+{
+  public:
+    /** Verdicts held before the memo clears itself. */
+    static constexpr std::size_t kMaxEntries = 512;
+
+    /**
+     * fuseRun(@p run, @p set, @p fused), memoized: a stored "does not
+     * shrink" verdict returns false without refitting (and leaves
+     * @p fused unspecified); a stored "shrinks" verdict recomputes
+     * fuseRun to fill @p fused.
+     */
+    bool shrinks(std::span<const ir::Gate *const> run, ir::GateSetKind set,
+                 transpile::OneQubitSeq &fused);
+
+    /** Verdicts currently stored. */
+    std::size_t size() const { return size_; }
+
+    /**
+     * Re-derive every stored verdict through fuseRun from its key;
+     * panics (support::panic) on any disagreement.
+     */
+    void checkInvariants() const;
+
+  private:
+    static constexpr std::size_t kSlots = 2 * kMaxEntries; // power of 2
+    static constexpr std::size_t kMaxKeyWords = 16 * kMaxEntries;
+
+    struct Slot
+    {
+        std::uint64_t hash = 0;
+        std::uint32_t keyBegin = 0; //!< into keys_
+        std::uint32_t keyWords = 0; //!< 0: the slot is empty
+        bool shrinks = false;
+    };
+
+    void clear();
+
+    // Open addressing with linear probing over slots_; each slot's key
+    // is a range of keys_. A key is the word (set | length << 8), then
+    // per gate its kind and the bits of its params.
+    std::vector<Slot> slots_;
+    std::vector<std::uint64_t> keys_;
+    std::vector<std::uint64_t> probe_; //!< the key being looked up
+    std::size_t size_ = 0;
+};
 
 /** The incremental pass applier (see file comment). */
 class RewriteEngine
@@ -162,6 +243,9 @@ class RewriteEngine
         return !pendingMatches_.empty() || pendingFusion_;
     }
 
+    /** The fusion-verdict memo (survives assign()). */
+    const FusionMemo &fusionMemo() const { return fusionMemo_; }
+
     /**
      * Describe the pending move as a derivation step (its blocks and
      * post-step gate order; the caller sets the parent), before
@@ -195,6 +279,18 @@ class RewriteEngine
     void checkInvariants() const;
 
   private:
+    static constexpr std::size_t kNumKinds =
+        static_cast<std::size_t>(ir::GateKind::NumKinds);
+
+    /** Ascending indices of the gates of kind @p k. */
+    std::span<const std::size_t>
+    bucket(ir::GateKind k) const
+    {
+        const auto i = static_cast<std::size_t>(k);
+        return {bucketGates_.data() + bucketStart_[i],
+                bucketStart_[i + 1] - bucketStart_[i]};
+    }
+
     /** True when @p rule's last pass since reindex() matched nothing. */
     bool memoizedNoMatch(const RewriteRule &rule) const;
     void forgetNoMatches();
@@ -205,10 +301,9 @@ class RewriteEngine
      * Emit the pending pass into @p out, replicating the legacy
      * rebuild: at each original position, first the replacement blocks
      * whose insertPos equals it (in discovery order), then the
-     * original gate when unmatched. @p move_gates moves rather than
-     * copies both sources (commit path).
+     * original gate when unmatched.
      */
-    void materializeInto(std::vector<ir::Gate> &out, bool move_gates);
+    void materializeInto(std::vector<ir::Gate> &out) const;
     void clearPending();
     /**
      * The pass's wire-order guard. The pass emits its replacements by
@@ -225,9 +320,10 @@ class RewriteEngine
 
     ir::Circuit circuit_;
     dag::CircuitDag dag_;
-    std::array<std::vector<std::size_t>,
-               static_cast<std::size_t>(ir::GateKind::NumKinds)>
-        buckets_;
+    // Kind buckets, flat: the gates of kind k are
+    // bucketGates_[bucketStart_[k] .. bucketStart_[k + 1]).
+    std::vector<std::size_t> bucketGates_;
+    std::array<std::size_t, kNumKinds + 1> bucketStart_{};
     ir::CircuitCounts counts_;
     double fidLogCost_ = 0;
     std::function<double(const ir::Gate &)> gateLogCost_;
@@ -243,14 +339,32 @@ class RewriteEngine
     std::vector<const RewriteRule *> noMatchRules_;
 
     // Pending pass state. usedStamp_[i] == passEpoch_ marks gate i as
-    // consumed by the pending (or most recent) pass.
+    // consumed by the pending (or most recent) pass. Each match's gate
+    // indices and replacement gates are ranges of two arenas that
+    // every pass reuses.
     struct PendingMatch
     {
         std::size_t insertPos = 0;
-        std::vector<std::size_t> gateIndices;
-        std::vector<ir::Gate> replacement;
+        std::size_t gatesBegin = 0; //!< into pendingGates_
+        std::size_t gatesEnd = 0;
+        std::size_t replBegin = 0;  //!< into pendingRepl_
+        std::size_t replEnd = 0;
     };
+    std::span<const std::size_t>
+    gatesOf(const PendingMatch &pm) const
+    {
+        return {pendingGates_.data() + pm.gatesBegin,
+                pm.gatesEnd - pm.gatesBegin};
+    }
+    std::span<const ir::Gate>
+    replacementOf(const PendingMatch &pm) const
+    {
+        return {pendingRepl_.data() + pm.replBegin,
+                pm.replEnd - pm.replBegin};
+    }
     std::vector<PendingMatch> pendingMatches_;
+    std::vector<std::size_t> pendingGates_;
+    std::vector<ir::Gate> pendingRepl_;
     std::vector<std::uint64_t> usedStamp_;
     std::uint64_t passEpoch_ = 0;
     ir::CircuitCounts pendingCounts_;
@@ -275,6 +389,7 @@ class RewriteEngine
     ir::GateSetKind fusionSet_ = ir::GateSetKind::Nam;
     bool pendingFusion_ = false;
     std::vector<const ir::Gate *> runScratch_;
+    FusionMemo fusionMemo_;
 };
 
 /**

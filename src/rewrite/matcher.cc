@@ -18,13 +18,13 @@ anglesEqual(double a, double b, double tol = 1e-9)
 
 } // namespace
 
-std::optional<Match>
+bool
 matchAt(const ir::Circuit &c, const dag::CircuitDag &dag,
         const RewriteRule &rule, std::size_t anchor, MatchScratch &sc)
 {
     const auto &gates = c.gates();
     if (anchor >= gates.size())
-        return std::nullopt;
+        return false;
 
     const auto nq = static_cast<std::size_t>(c.numQubits());
     if (sc.stamp.size() < nq) {
@@ -46,11 +46,12 @@ matchAt(const ir::Circuit &c, const dag::CircuitDag &dag,
     };
 
     const auto &pattern = rule.pattern();
-    sc.gateIndices.clear();
-    sc.qubitBinding.assign(static_cast<std::size_t>(rule.numQubitVars()),
-                           -1);
-    sc.angleBinding.assign(static_cast<std::size_t>(rule.numAngleVars()),
-                           0.0);
+    Match &m = sc.match;
+    m.gateIndices.clear();
+    m.qubitBinding.assign(static_cast<std::size_t>(rule.numQubitVars()),
+                          -1);
+    m.angleBinding.assign(static_cast<std::size_t>(rule.numAngleVars()),
+                          0.0);
     sc.angleBound.assign(static_cast<std::size_t>(rule.numAngleVars()), 0);
 
     for (std::size_t pj = 0; pj < pattern.size(); ++pj) {
@@ -65,7 +66,7 @@ matchAt(const ir::Circuit &c, const dag::CircuitDag &dag,
             // point at the same next gate.
             for (int qv : pg.qubits) {
                 const int cq =
-                    sc.qubitBinding[static_cast<std::size_t>(qv)];
+                    m.qubitBinding[static_cast<std::size_t>(qv)];
                 if (cq < 0)
                     continue;
                 touch(cq);
@@ -75,35 +76,35 @@ matchAt(const ir::Circuit &c, const dag::CircuitDag &dag,
                 const std::size_t nxt =
                     dag.next(sc.lastOn[static_cast<std::size_t>(cq)], cq);
                 if (nxt == dag::kNoGate)
-                    return std::nullopt;
+                    return false;
                 if (cand == dag::kNoGate)
                     cand = nxt;
                 else if (cand != nxt)
-                    return std::nullopt;
+                    return false;
             }
             // Patterns are connected: a gate with no bound wire cannot
             // be located deterministically.
             if (cand == dag::kNoGate)
-                return std::nullopt;
+                return false;
         }
 
         const ir::Gate &g = gates[cand];
         if (g.kind != pg.kind)
-            return std::nullopt;
+            return false;
 
         // Bind / check qubit variables positionally.
         for (std::size_t k = 0; k < pg.qubits.size(); ++k) {
             const int qv = pg.qubits[k];
             const int cq = g.qubits[k];
             touch(cq);
-            int &bound = sc.qubitBinding[static_cast<std::size_t>(qv)];
+            int &bound = m.qubitBinding[static_cast<std::size_t>(qv)];
             if (bound < 0) {
                 if (sc.varOf[static_cast<std::size_t>(cq)] != -1)
-                    return std::nullopt; // qubit already taken
+                    return false; // qubit already taken
                 bound = cq;
                 sc.varOf[static_cast<std::size_t>(cq)] = qv;
             } else if (bound != cq) {
-                return std::nullopt;
+                return false;
             }
         }
 
@@ -114,7 +115,7 @@ matchAt(const ir::Circuit &c, const dag::CircuitDag &dag,
             if (e.isBareVar()) {
                 const int v = e.terms[0].first;
                 if (!sc.angleBound[static_cast<std::size_t>(v)]) {
-                    sc.angleBinding[static_cast<std::size_t>(v)] = actual;
+                    m.angleBinding[static_cast<std::size_t>(v)] = actual;
                     sc.angleBound[static_cast<std::size_t>(v)] = 1;
                     continue;
                 }
@@ -122,10 +123,10 @@ matchAt(const ir::Circuit &c, const dag::CircuitDag &dag,
             // Constraint: all vars must already be bound.
             for (const auto &[v, coeff] : e.terms) {
                 if (!sc.angleBound[static_cast<std::size_t>(v)])
-                    return std::nullopt;
+                    return false;
             }
-            if (!anglesEqual(e.eval(sc.angleBinding), actual))
-                return std::nullopt;
+            if (!anglesEqual(e.eval(m.angleBinding), actual))
+                return false;
         }
 
         // Record wire bookkeeping.
@@ -135,11 +136,11 @@ matchAt(const ir::Circuit &c, const dag::CircuitDag &dag,
                 sc.firstOn[static_cast<std::size_t>(cq)] = cand;
             sc.lastOn[static_cast<std::size_t>(cq)] = cand;
         }
-        sc.gateIndices.push_back(cand);
+        m.gateIndices.push_back(cand);
     }
 
-    if (rule.guard() && !rule.guard()(sc.angleBinding))
-        return std::nullopt;
+    if (rule.guard() && !rule.guard()(m.angleBinding))
+        return false;
 
     // Splice window: the replacement must go after every outside gate
     // that precedes the matched run on some bound wire, and before
@@ -147,7 +148,7 @@ matchAt(const ir::Circuit &c, const dag::CircuitDag &dag,
     std::size_t pos_lo = 0;
     std::size_t pos_hi = gates.size();
     for (int qv = 0; qv < rule.numQubitVars(); ++qv) {
-        const int cq = sc.qubitBinding[static_cast<std::size_t>(qv)];
+        const int cq = m.qubitBinding[static_cast<std::size_t>(qv)];
         if (cq < 0)
             continue; // unused variable (cannot happen for valid rules)
         touch(cq);
@@ -163,14 +164,9 @@ matchAt(const ir::Circuit &c, const dag::CircuitDag &dag,
             pos_hi = n;
     }
     if (pos_lo > pos_hi)
-        return std::nullopt;
-
-    Match m;
-    m.gateIndices = sc.gateIndices;
-    m.qubitBinding = sc.qubitBinding;
-    m.angleBinding = sc.angleBinding;
+        return false;
     m.insertPos = pos_lo;
-    return m;
+    return true;
 }
 
 } // namespace rewrite

@@ -14,16 +14,16 @@
  * The matcher is the free function matchAt() over a (circuit, dag,
  * scratch) triple, so a caller that probes millions of anchors (the
  * RewriteEngine; the reference oracle's Matcher wraps the same
- * function) pays zero allocation per probe: the per-qubit
- * maps in MatchScratch are epoch-stamped instead of cleared, and the
- * Match vectors are only materialized on success.
+ * function) pays zero allocation per probe once the scratch is warm:
+ * the per-qubit maps in MatchScratch are epoch-stamped instead of
+ * cleared, and the match itself is built in the scratch's reused
+ * Match, which the caller reads until its next probe.
  */
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "dag/circuit_dag.h"
@@ -64,23 +64,23 @@ struct MatchScratch
     std::vector<std::size_t> lastOn;   //!< last matched gate on wire
     std::vector<std::size_t> firstOn;  //!< first matched gate on wire
     std::uint64_t epoch = 0;
-    // Per rule variable (tiny; reassigned per probe).
-    std::vector<int> qubitBinding;
-    std::vector<double> angleBinding;
-    std::vector<char> angleBound;
-    std::vector<std::size_t> gateIndices;
+    std::vector<char> angleBound;      //!< per rule angle variable
+    /**
+     * The match under construction; after a successful matchAt, the
+     * match found (valid until the next matchAt on this scratch).
+     */
+    Match match;
 };
 
 /**
  * Try to match @p rule with pattern gate 0 at @p anchor of @p c.
- * @p dag must be the current wire index of @p c. Returns std::nullopt
- * when the structure, angles, guard, or splice window do not admit a
- * match.
+ * @p dag must be the current wire index of @p c. Returns true and
+ * leaves the match in @p scratch.match, or returns false when the
+ * structure, angles, guard, or splice window do not admit a match.
  */
-std::optional<Match> matchAt(const ir::Circuit &c,
-                             const dag::CircuitDag &dag,
-                             const RewriteRule &rule, std::size_t anchor,
-                             MatchScratch &scratch);
+bool matchAt(const ir::Circuit &c, const dag::CircuitDag &dag,
+             const RewriteRule &rule, std::size_t anchor,
+             MatchScratch &scratch);
 
 /**
  * O(1) pre-check of matchAt(@p c, @p dag, @p rule, @p anchor) from the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <span>
 
 #include "support/logging.h"
 
@@ -94,25 +95,24 @@ RewriteRule::RewriteRule(std::string name, std::vector<PatternGate> pattern,
     }
 }
 
-std::vector<ir::Gate>
-RewriteRule::instantiateReplacement(
-    const std::vector<int> &qubit_binding,
-    const std::vector<double> &angle_binding) const
+void
+RewriteRule::instantiateReplacement(const std::vector<int> &qubit_binding,
+                                    const std::vector<double> &angle_binding,
+                                    std::vector<ir::Gate> &out) const
 {
-    std::vector<ir::Gate> out;
-    out.reserve(replacement_.size());
     for (const PatternGate &g : replacement_) {
-        std::vector<int> qubits;
-        qubits.reserve(g.qubits.size());
-        for (int v : g.qubits)
-            qubits.push_back(qubit_binding[static_cast<std::size_t>(v)]);
-        std::vector<double> params;
-        params.reserve(g.params.size());
-        for (const AngleExpr &e : g.params)
-            params.push_back(ir::normalizeAngle(e.eval(angle_binding)));
-        out.emplace_back(g.kind, std::move(qubits), std::move(params));
+        std::array<int, ir::kMaxGateArgs> qubits{};
+        for (std::size_t k = 0; k < g.qubits.size(); ++k)
+            qubits[k] =
+                qubit_binding[static_cast<std::size_t>(g.qubits[k])];
+        std::array<double, ir::kMaxGateArgs> params{};
+        for (std::size_t k = 0; k < g.params.size(); ++k)
+            params[k] = ir::normalizeAngle(g.params[k].eval(angle_binding));
+        out.emplace_back(g.kind,
+                         std::span<const int>(qubits.data(), g.qubits.size()),
+                         std::span<const double>(params.data(),
+                                                 g.params.size()));
     }
-    return out;
 }
 
 bool
@@ -137,7 +137,9 @@ RewriteRule::concretize(support::Rng &rng, ir::Circuit *pattern_out,
                 static_cast<std::size_t>(numQubitVars_));
             for (int q = 0; q < numQubitVars_; ++q)
                 identity[static_cast<std::size_t>(q)] = q;
-            for (ir::Gate &g : instantiateReplacement(identity, angles))
+            std::vector<ir::Gate> gates;
+            instantiateReplacement(identity, angles, gates);
+            for (ir::Gate &g : gates)
                 rep.add(std::move(g));
             *pattern_out = std::move(pat);
             *replacement_out = std::move(rep);
@@ -162,7 +164,9 @@ RewriteRule::concretize(support::Rng &rng, ir::Circuit *pattern_out,
             static_cast<std::size_t>(numQubitVars_));
         for (int q = 0; q < numQubitVars_; ++q)
             identity[static_cast<std::size_t>(q)] = q;
-        for (ir::Gate &g : instantiateReplacement(identity, angles))
+        std::vector<ir::Gate> gates;
+        instantiateReplacement(identity, angles, gates);
+        for (ir::Gate &g : gates)
             rep.add(std::move(g));
         *pattern_out = std::move(pat);
         *replacement_out = std::move(rep);

@@ -137,13 +137,13 @@ class RewriteRule
     }
 
     /**
-     * Build the replacement gate list for a concrete match.
+     * Append the replacement gates for a concrete match to @p out.
      * @param qubit_binding circuit qubit for each qubit variable.
      * @param angle_binding value for each angle variable.
      */
-    std::vector<ir::Gate> instantiateReplacement(
-        const std::vector<int> &qubit_binding,
-        const std::vector<double> &angle_binding) const;
+    void instantiateReplacement(const std::vector<int> &qubit_binding,
+                                const std::vector<double> &angle_binding,
+                                std::vector<ir::Gate> &out) const;
 
     /**
      * Concrete (pattern, replacement) circuit pair on numQubitVars()

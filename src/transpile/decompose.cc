@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "linalg/decompose_1q.h"
 #include "linalg/unitary.h"
@@ -153,16 +154,23 @@ OneQubitSeq::push(GateKind kind, std::initializer_list<double> params)
     std::copy(params.begin(), params.end(), op.params.begin());
 }
 
+Gate
+OneQubitSeq::gate(std::size_t i, int qubit) const
+{
+    const Op &op = ops[i];
+    return Gate(op.kind, {qubit},
+                std::span<const double>(op.params.data(),
+                                        static_cast<std::size_t>(
+                                            op.numParams)));
+}
+
 std::vector<Gate>
 OneQubitSeq::gates(int qubit) const
 {
     std::vector<Gate> out;
     out.reserve(size);
     for (std::size_t i = 0; i < size; ++i)
-        out.emplace_back(ops[i].kind, std::vector<int>{qubit},
-                         std::vector<double>(ops[i].params.begin(),
-                                             ops[i].params.begin() +
-                                                 ops[i].numParams));
+        out.push_back(gate(i, qubit));
     return out;
 }
 

@@ -75,6 +75,9 @@ struct OneQubitSeq
     void clear() { size = 0; }
     void push(ir::GateKind kind, std::initializer_list<double> params = {});
 
+    /** Gate @p i of the sequence, on @p qubit. */
+    ir::Gate gate(std::size_t i, int qubit) const;
+
     /** The sequence as gates on @p qubit. */
     std::vector<ir::Gate> gates(int qubit) const;
 };

@@ -1,5 +1,9 @@
 /** @file Tests for ir::Gate. */
 
+#include <span>
+#include <type_traits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "ir/circuit.h"
@@ -118,6 +122,35 @@ TEST(Gate, U2InverseIsExact)
     for (const Gate &inv : g.inverse())
         c.add(inv);
     EXPECT_LT(sim::circuitDistance(c, ir::Circuit(1)), testutil::kExact);
+}
+
+TEST(Gate, StoresArgumentsInline)
+{
+    static_assert(std::is_trivially_copyable_v<Gate>);
+    const Gate g(GateKind::U3, {2}, {0.1, 0.2, 0.3});
+    Gate copy = g;
+    EXPECT_EQ(copy, g);
+    EXPECT_EQ(copy.qubits.size(), 1u);
+    EXPECT_EQ(copy.params.size(), 3u);
+    const std::span<const double> params = copy.params.span();
+    EXPECT_EQ(params[2], 0.3);
+    // Built from a vector, a span or another gate's arguments alike.
+    const std::vector<int> qs = {4, 1, 0};
+    const Gate a(GateKind::CCX, qs);
+    const Gate b(GateKind::CCX, a.qubits);
+    EXPECT_TRUE(a.sameQubits(b));
+    EXPECT_EQ(b.qubits[0], 4);
+}
+
+TEST(GateDeathTest, OverCapacityArgumentsPanicBeforeCopying)
+{
+    EXPECT_DEATH(Gate(GateKind::CCX, {0, 1, 2, 3}),
+                 "Gate\\(ccx\\): want 3 qubits, got 4");
+    EXPECT_DEATH(Gate(GateKind::U3, {0}, {0.1, 0.2, 0.3, 0.4}),
+                 "Gate\\(u3\\): want 3 params, got 4");
+    const std::vector<int> wide = {0, 1, 2, 3};
+    EXPECT_DEATH(Gate(GateKind::CX, wide),
+                 "Gate\\(cx\\): want 2 qubits, got 4");
 }
 
 } // namespace

@@ -268,6 +268,18 @@ TEST(QasmParser, RejectsArityMismatch)
                      "gate 'cx' expects 2 qubits, got 1");
 }
 
+TEST(QasmParser, RejectsOverArityStatementsWithoutPanicking)
+{
+    // More operands than any gate holds inline: still a located parse
+    // error, caught before a Gate is built.
+    expectParseError("qreg q[4]; cx q[0],q[1],q[2];", 1, 12,
+                     "gate 'cx' expects 2 qubits, got 3");
+    expectParseError("qreg q[4]; ccx q[0],q[1],q[2],q[3];", 1, 12,
+                     "gate 'ccx' expects 3 qubits, got 4");
+    expectParseError("qreg q[1]; u3(1,2,3,4) q[0];", 1, 12,
+                     "gate 'u3' expects 3 parameters, got 4");
+}
+
 class QasmRoundTrip : public ::testing::TestWithParam<int>
 {
 };

@@ -244,10 +244,22 @@ TEST(RewriteEngineFusion, VerdictMatchesFuseOneQubitRunsUnderInterleavings)
         support::Rng rng(61 + static_cast<std::uint64_t>(set));
         int fired = 0;
         int quiet = 0;
-        for (int round = 0; round < 2; ++round) {
+        // One engine over several circuits: its fusion-verdict memo
+        // survives assign(), so later circuits hit verdicts stored for
+        // earlier ones. Each later circuit repeats the first one on
+        // reversed wires, so those hits are certain.
+        rewrite::RewriteEngine engine{ir::Circuit(1)};
+        ir::Circuit first;
+        for (int round = 0; round < 3; ++round) {
             ir::Circuit c = testutil::randomNativeCircuit(
                 set, 5, 60 + 30 * round, rng);
-            rewrite::RewriteEngine engine{ir::Circuit(c)};
+            if (round == 0)
+                first = c;
+            else
+                c.append(first.remapped({4, 3, 2, 1, 0}, 5));
+            const std::size_t memo = engine.fusionMemo().size();
+            engine.assign(ir::Circuit(c));
+            EXPECT_EQ(engine.fusionMemo().size(), memo);
             for (int step = 0; step < 300; ++step) {
                 const std::size_t action = rng.index(10);
                 if (action < 4) {
@@ -296,10 +308,77 @@ TEST(RewriteEngineFusion, VerdictMatchesFuseOneQubitRunsUnderInterleavings)
             }
         }
         EXPECT_GT(quiet, 0) << ir::gateSetName(set);
-        if (set == ir::GateSetKind::CliffordT)
+        if (set == ir::GateSetKind::CliffordT) {
             EXPECT_EQ(fired, 0);
-        else
+        } else {
             EXPECT_GT(fired, 0) << ir::gateSetName(set);
+            EXPECT_GT(engine.fusionMemo().size(), 0u);
+        }
+    }
+}
+
+/** A run of @p gates on wire 0, as fuseRun takes it. */
+std::vector<const ir::Gate *>
+runOf(const std::vector<ir::Gate> &gates)
+{
+    std::vector<const ir::Gate *> run;
+    for (const ir::Gate &g : gates)
+        run.push_back(&g);
+    return run;
+}
+
+TEST(RewriteEngineFusion, FullMemoClearsAndStaysExact)
+{
+    using ir::GateKind;
+    rewrite::FusionMemo memo;
+    transpile::OneQubitSeq want;
+    transpile::OneQubitSeq got;
+    support::Rng rng(5);
+    // Each pass stores more distinct runs than the memo holds, so it
+    // clears at least once; a shrinking run (Rz Rz) every few entries
+    // checks that hits on either verdict still refit exactly.
+    std::vector<std::vector<ir::Gate>> runs;
+    for (std::size_t i = 0; i < rewrite::FusionMemo::kMaxEntries + 40; ++i) {
+        const double a = rng.uniform(-M_PI, M_PI);
+        if (i % 5 == 0)
+            runs.push_back({ir::Gate(GateKind::Rz, {0}, {a}),
+                            ir::Gate(GateKind::Rz, {0}, {0.25})});
+        else
+            runs.push_back({ir::Gate(GateKind::H, {0}),
+                            ir::Gate(GateKind::Rz, {0}, {a}),
+                            ir::Gate(GateKind::H, {0})});
+    }
+    // Long runs fill the key store before the entry table.
+    for (int i = 0; i < 60; ++i) {
+        std::vector<ir::Gate> run;
+        for (int j = 0; j < 200; ++j)
+            run.emplace_back(GateKind::Rz, std::initializer_list<int>{0},
+                             std::initializer_list<double>{
+                                 rng.uniform(-M_PI, M_PI)});
+        runs.push_back(std::move(run));
+    }
+
+    for (const ir::GateSetKind set :
+         {ir::GateSetKind::Nam, ir::GateSetKind::Ibmq20}) {
+        bool cleared = false;
+        std::size_t last = memo.size();
+        for (int pass = 0; pass < 2; ++pass) {
+            for (const std::vector<ir::Gate> &gates : runs) {
+                const auto run = runOf(gates);
+                const bool verdict = transpile::fuseRun(run, set, want);
+                ASSERT_EQ(memo.shrinks(run, set, got), verdict);
+                if (verdict) {
+                    ASSERT_EQ(got.size, want.size);
+                    for (std::size_t k = 0; k < want.size; ++k)
+                        EXPECT_TRUE(got.gate(k, 0) == want.gate(k, 0));
+                }
+                ASSERT_LE(memo.size(), rewrite::FusionMemo::kMaxEntries);
+                cleared |= memo.size() < last;
+                last = memo.size();
+            }
+            memo.checkInvariants();
+        }
+        EXPECT_TRUE(cleared) << ir::gateSetName(set);
     }
 }
 

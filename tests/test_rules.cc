@@ -132,8 +132,8 @@ TEST(RewriteRule, InstantiateReplacementBindsQubitsAndAngles)
         {PatternGate{GateKind::Rz, {0}, {AngleExpr::var(0)}},
          PatternGate{GateKind::Rz, {0}, {AngleExpr::var(1)}}},
         {PatternGate{GateKind::Rz, {0}, {AngleExpr::sum(0, 1)}}});
-    const std::vector<ir::Gate> out =
-        rule.instantiateReplacement({7}, {1.0, 2.0});
+    std::vector<ir::Gate> out;
+    rule.instantiateReplacement({7}, {1.0, 2.0}, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].qubits[0], 7);
     EXPECT_NEAR(out[0].params[0], 3.0, 1e-12);
