@@ -13,6 +13,13 @@
  * reproduce the legacy numbers bit for bit: the `max_abs_dcost` and
  * `max_abs_dgrad` guard rows are exactly 0, and the run panics
  * otherwise. Call counts scale with --scale.
+ *
+ * The solver rows fit each probe's ansatz to seeded random targets it
+ * can reach, with the old solver (`adam`: reference::instantiateAdam)
+ * and the current one (`lm`: synth::instantiate, Levenberg–Marquardt),
+ * at the per-call ε of an ε = 1e-5 GUOQ run and QSearch's four starts.
+ * Each fit draws its starts from its own seeded Rng, the same for both
+ * solvers. The target count scales with --scale (32 at scale 1).
  */
 
 #include <algorithm>
@@ -33,6 +40,7 @@
 #include "support/table.h"
 #include "support/timer.h"
 #include "synth/instantiate.h"
+#include "synth/qsearch.h"
 
 namespace {
 
@@ -104,12 +112,109 @@ timePass(const std::vector<std::vector<double>> &points, long calls,
     return p;
 }
 
+/** One solver's totals over a probe's targets. */
+struct SolverTally
+{
+    int fits = 0;
+    int successes = 0;
+    long successEvaluations = 0; //!< over fits that succeeded
+    long jacobians = 0;         //!< Jacobian (adam: gradient) calls
+    double seconds = 0;
+};
+
+/**
+ * Fit @p probe's ansatz to @p num_targets seeded random reachable
+ * targets (its unitary at uniform random angles) with both solvers.
+ */
+std::pair<SolverTally, SolverTally>
+fitTargets(const Probe &probe, int num_targets, std::uint64_t seed)
+{
+    // The per-call ε of an ε = 1e-5 GUOQ run (core::perCallEpsilon).
+    constexpr double kEpsilon = 1e-5 / 16;
+    const int starts = synth::QSearchOptions{}.restartsPerNode;
+    const synth::Ansatz &a = probe.ansatz;
+    SolverTally adam;
+    SolverTally lm;
+    for (int i = 0; i < num_targets; ++i) {
+        support::Rng target_rng(seed * 1000003 +
+                                static_cast<std::uint64_t>(i));
+        std::vector<double> angles(static_cast<std::size_t>(a.numParams()));
+        for (double &x : angles)
+            x = target_rng.uniform(-M_PI, M_PI);
+        const linalg::ComplexMatrix target =
+            sim::circuitUnitary(a.instantiate(angles));
+        const std::uint64_t fit_seed = target_rng();
+        for (auto [tally, use_lm] : {std::pair<SolverTally *, bool>{&adam,
+                                                                    false},
+                                     {&lm, true}}) {
+            support::Rng rng(fit_seed);
+            const support::Timer timer;
+            const support::Deadline deadline = support::Deadline::in(60);
+            const synth::InstantiateResult r =
+                use_lm ? synth::instantiate(a, target, kEpsilon, starts, rng,
+                                            deadline)
+                       : reference::instantiateAdam(a, target, kEpsilon,
+                                                    starts, rng, deadline);
+            tally->seconds += timer.seconds();
+            ++tally->fits;
+            tally->jacobians += r.jacobians;
+            if (r.success) {
+                ++tally->successes;
+                tally->successEvaluations += r.evaluations;
+            }
+        }
+    }
+    return {adam, lm};
+}
+
 std::string
 fmt(const char *spec, double v)
 {
     char buf[64];
     std::snprintf(buf, sizeof buf, spec, v);
     return buf;
+}
+
+/** The solver rows: success rate, calls to success, Jacobian calls. */
+void
+runSolvers(CaseContext &ctx, const Probe &probe, support::TextTable &table)
+{
+    const int num_targets = std::max(
+        4, static_cast<int>(std::lround(32.0 * ctx.opts().scale)));
+    for (int t = 0; t < ctx.opts().trials; ++t) {
+        const std::uint64_t seed = ctx.opts().trialSeed(t);
+        const auto [adam, lm] = fitTargets(probe, num_targets, seed);
+        for (const auto &[tool, tally] :
+             {std::pair<const char *, const SolverTally &>{"adam", adam},
+              {"lm", lm}}) {
+            const double per_fit = 1.0 / std::max(tally.fits, 1);
+            const double values[] = {
+                tally.successes * per_fit,
+                static_cast<double>(tally.successEvaluations) /
+                    std::max(tally.successes, 1),
+                static_cast<double>(tally.jacobians) * per_fit,
+                1e3 * tally.seconds * per_fit,
+            };
+            const char *metrics[] = {"success_rate", "evals_per_success",
+                                     "jacobians_per_fit", "ms_per_fit"};
+            for (std::size_t k = 0; k < 4; ++k) {
+                CaseResult row;
+                row.benchmark = probe.name;
+                row.tool = tool;
+                row.metric = metrics[k];
+                row.value = values[k];
+                row.seconds = tally.seconds;
+                row.trial = t;
+                row.seed = seed;
+                ctx.record(std::move(row));
+            }
+            if (t == 0)
+                table.addRow({probe.name, tool,
+                              fmt("%.0f%%", 100 * values[0]),
+                              fmt("%.0f", values[1]), fmt("%.0f", values[2]),
+                              fmt("%.2f", values[3])});
+        }
+    }
 }
 
 void
@@ -226,14 +331,22 @@ runInstantiate(CaseContext &ctx)
         table.print();
         std::printf("\nshape check: the evaluator reproduces the legacy "
                     "cost and gradient bit for bit (guards exactly 0) "
-                    "and the 3-qubit probe speeds up >= 3x.\n");
+                    "and the 3-qubit probe speeds up >= 3x.\n\n"
+                    "=== Solvers: Adam (old) vs Levenberg-Marquardt on "
+                    "seeded reachable targets ===\n\n");
     }
+    support::TextTable solvers({"case", "solver", "success",
+                                "evals/success", "jacobians/fit", "ms/fit"});
+    for (const Probe &probe : probes())
+        runSolvers(ctx, probe, solvers);
+    if (ctx.pretty())
+        solvers.print();
 }
 
 const CaseRegistrar kInstantiate(
     "instantiate",
     "allocation-free instantiation evaluator vs legacy dense kernel: "
-    "cost+gradient calls/sec",
+    "cost+gradient calls/sec; Adam vs Levenberg-Marquardt fits",
     335, runInstantiate);
 
 } // namespace

@@ -16,7 +16,10 @@
  * largest size) is measured here as the `rewrite_throughput` case of
  * guoq-bench-v1 (BENCH_008.json); methodology in docs/PERFORMANCE.md.
  * Iteration counts scale with --scale so the bench_guards run (0.05)
- * finishes in seconds while artifact runs exercise long loops.
+ * finishes in seconds while artifact runs exercise long loops. A
+ * trial repeats each tool's fixed-iteration loop until it has run for
+ * at least 100 ms × --scale, so the small sizes, whose loop takes a
+ * few milliseconds, are not timed from one short burst.
  *
  * The `fusion_move` case times the same loop with the 1q-fusion move
  * mixed in at GUOQ's sampling rate (uniform over the rules plus
@@ -170,6 +173,28 @@ fmt(const char *spec, double v)
     return buf;
 }
 
+/** A loop repeated until it has run long enough to time. */
+struct RepeatedLoop
+{
+    LoopOutcome outcome; //!< the last repetition's (all make the same
+                         //!< decisions)
+    double seconds = 0;  //!< over all repetitions
+    long iterations = 0; //!< over all repetitions
+};
+
+template <typename Loop>
+RepeatedLoop
+repeatFor(double min_seconds, long iters, Loop &&loop)
+{
+    RepeatedLoop r;
+    do {
+        r.outcome = loop();
+        r.seconds += r.outcome.seconds;
+        r.iterations += iters;
+    } while (r.seconds < min_seconds);
+    return r;
+}
+
 void
 runRewriteThroughput(CaseContext &ctx)
 {
@@ -189,6 +214,7 @@ runRewriteThroughput(CaseContext &ctx)
     const std::vector<Size> sizes = {{8, 64}, {12, 256}, {16, 1024}};
     const long iters = std::max<long>(
         200, static_cast<long>(4000.0 * ctx.opts().scale));
+    const double min_seconds = 0.1 * ctx.opts().scale;
 
     support::TextTable table({"case", "tool", "iters/s", "speedup",
                               "matches legacy"});
@@ -205,19 +231,24 @@ runRewriteThroughput(CaseContext &ctx)
         bool all_match = true;
         for (int t = 0; t < ctx.opts().trials; ++t) {
             const std::uint64_t seed = ctx.opts().trialSeed(t);
-            const LoopOutcome legacy =
-                runLegacyLoop(c, rules, cost, iters, seed);
-            const LoopOutcome engine =
-                runEngineLoop(c, rules, cost, iters, seed);
+            const RepeatedLoop legacy = repeatFor(min_seconds, iters, [&] {
+                return runLegacyLoop(c, rules, cost, iters, seed);
+            });
+            const RepeatedLoop engine = repeatFor(min_seconds, iters, [&] {
+                return runEngineLoop(c, rules, cost, iters, seed);
+            });
             const bool match =
-                legacy.final_.gates() == engine.final_.gates() &&
-                legacy.accepted == engine.accepted;
+                legacy.outcome.final_.gates() ==
+                    engine.outcome.final_.gates() &&
+                legacy.outcome.accepted == engine.outcome.accepted;
             all_match = all_match && match;
 
             const double legacy_ips =
-                legacy.seconds > 0 ? iters / legacy.seconds : 0.0;
+                legacy.seconds > 0 ? legacy.iterations / legacy.seconds
+                                   : 0.0;
             const double engine_ips =
-                engine.seconds > 0 ? iters / engine.seconds : 0.0;
+                engine.seconds > 0 ? engine.iterations / engine.seconds
+                                   : 0.0;
             for (const auto &[tool, ips, secs] :
                  {std::tuple<const char *, double, double>{
                       "legacy", legacy_ips, legacy.seconds},

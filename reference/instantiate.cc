@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/unitary.h"
 #include "sim/kernels.h"
 #include "support/logging.h"
 
@@ -297,6 +298,128 @@ hsCostAndGrad(const synth::Ansatz &ansatz, const ComplexMatrix &target,
         }
     }
     return cost;
+}
+
+namespace {
+
+/** The legacy linalg::minimizeAdam's result. */
+struct AdamResult
+{
+    std::vector<double> x;
+    double value = 0;
+    bool converged = false;
+    int evaluations = 0;
+    int gradients = 0;
+};
+
+/** The legacy linalg::minimizeAdam, counting its calls. */
+AdamResult
+minimizeAdam(synth::AnsatzEvaluator &eval, std::vector<double> x0,
+             double tolerance, const support::Deadline &deadline)
+{
+    constexpr int kMaxIters = 600;
+    constexpr double kLearningRate = 0.1;
+    const std::size_t n = x0.size();
+    std::vector<double> g(n), m(n, 0.0), v(n, 0.0);
+    AdamResult best;
+    best.x = x0;
+    best.value = eval.costAndGrad(x0, nullptr);
+    best.evaluations = 1;
+
+    std::vector<double> x = std::move(x0);
+    const double b1 = 0.9, b2 = 0.999, epsn = 1e-8;
+    double b1t = 1.0, b2t = 1.0;
+    int flat = 0;
+    double prev = best.value;
+    double stall_ref = best.value;
+    int stall = 0;
+
+    for (int it = 0; it < kMaxIters; ++it) {
+        if ((it & 31) == 0 && deadline.expired())
+            break;
+        const double fx = eval.costAndGrad(x, &g);
+        ++best.evaluations;
+        ++best.gradients;
+        if (fx < best.value) {
+            best.value = fx;
+            best.x = x;
+        }
+        if (fx <= tolerance)
+            break;
+        if (best.value < stall_ref * (1.0 - 1e-3) ||
+            best.value < stall_ref - 1e-9) {
+            stall_ref = best.value;
+            stall = 0;
+        } else if (++stall > 140) {
+            break;
+        }
+        if (std::abs(prev - fx) < 1e-14 * std::max(1.0, std::abs(fx))) {
+            if (++flat > 40)
+                break;
+        } else {
+            flat = 0;
+        }
+        prev = fx;
+
+        b1t *= b1;
+        b2t *= b2;
+        for (std::size_t i = 0; i < n; ++i) {
+            m[i] = b1 * m[i] + (1 - b1) * g[i];
+            v[i] = b2 * v[i] + (1 - b2) * g[i] * g[i];
+            const double mh = m[i] / (1 - b1t);
+            const double vh = v[i] / (1 - b2t);
+            x[i] -= kLearningRate * mh / (std::sqrt(vh) + epsn);
+        }
+    }
+    best.converged = best.value <= tolerance;
+    return best;
+}
+
+} // namespace
+
+synth::InstantiateResult
+instantiateAdam(const synth::Ansatz &ansatz, const ComplexMatrix &target,
+                double eps, int restarts, support::Rng &rng,
+                const support::Deadline &deadline,
+                const std::vector<double> *hint)
+{
+    const double eps_eff = eps > 0 ? eps : 1e-7;
+    const double cost_threshold =
+        linalg::hsCostThresholdForDistance(eps_eff) * 0.25;
+    synth::AnsatzEvaluator eval(ansatz, target);
+
+    std::vector<double> x(static_cast<std::size_t>(ansatz.numParams()));
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        if (hint && i < hint->size())
+            x[i] = (*hint)[i] + rng.uniform(-0.05, 0.05);
+        else
+            x[i] = rng.uniform(-M_PI, M_PI);
+    }
+    AdamResult best;
+    int evaluations = 0;
+    int gradients = 0;
+    for (int s = 0; s < std::max(restarts, 1); ++s) {
+        if (s > 0) {
+            if (best.converged || deadline.expired())
+                break;
+            for (double &xi : x)
+                xi = rng.uniform(-M_PI, M_PI);
+        }
+        AdamResult r = minimizeAdam(eval, x, cost_threshold, deadline);
+        evaluations += r.evaluations;
+        gradients += r.gradients;
+        if (s == 0 || r.value < best.value)
+            best = std::move(r);
+    }
+
+    synth::InstantiateResult result;
+    result.params = std::move(best.x);
+    result.hsDistanceValue =
+        std::sqrt(std::max(0.0, best.value * (2.0 - best.value)));
+    result.success = result.hsDistanceValue <= eps_eff;
+    result.evaluations = evaluations;
+    result.jacobians = gradients;
+    return result;
 }
 
 } // namespace reference

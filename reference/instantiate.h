@@ -2,7 +2,8 @@
  * @file
  * The legacy dense instantiation kernel, kept as the reference oracle
  * for the allocation-free one (synth::AnsatzEvaluator over
- * sim::BoundGate).
+ * sim::BoundGate), and the legacy first-order solver, kept as the
+ * old-solver row of the `instantiate` bench case.
  *
  * This is not production code: it lives in the guoq_reference
  * library, which only the tests and guoq_bench link. It is the
@@ -13,6 +14,10 @@
  * tests/test_instantiate.cc and tests/test_unitary_sim.cc hold the
  * production kernel to bit equality (==, not NEAR) with these, and
  * the `instantiate` bench case times the two side by side.
+ *
+ * instantiateAdam() is synth::instantiate as it was before
+ * Levenberg–Marquardt: multi-start Adam over
+ * synth::AnsatzEvaluator::costAndGrad.
  */
 
 #pragma once
@@ -21,6 +26,9 @@
 
 #include "ir/gate.h"
 #include "linalg/complex_matrix.h"
+#include "support/rng.h"
+#include "support/timer.h"
+#include "synth/instantiate.h"
 #include "synth/templates.h"
 
 namespace guoq {
@@ -35,6 +43,19 @@ double hsCostAndGrad(const synth::Ansatz &ansatz,
                      const linalg::ComplexMatrix &target,
                      const std::vector<double> &params,
                      std::vector<double> *grad);
+
+/**
+ * The legacy synth::instantiate: the same start draws, restart rule and
+ * success test, but each start runs Adam (learning rate 0.1, at most
+ * 600 cost+gradient calls, plateau and stall stops). `jacobians`
+ * counts its gradient calls.
+ */
+synth::InstantiateResult
+instantiateAdam(const synth::Ansatz &ansatz,
+                const linalg::ComplexMatrix &target, double eps,
+                int restarts, support::Rng &rng,
+                const support::Deadline &deadline,
+                const std::vector<double> *hint = nullptr);
 
 } // namespace reference
 } // namespace guoq

@@ -1,6 +1,6 @@
 #include "ir/gate_set.h"
 
-#include <algorithm>
+#include <iterator>
 
 #include "support/logging.h"
 
@@ -37,37 +37,18 @@ gateSetArchitecture(GateSetKind set)
 const std::vector<GateKind> &
 nativeGates(GateSetKind set)
 {
-    static const std::vector<GateKind> ibmq20 = {
-        GateKind::U1, GateKind::U2, GateKind::U3, GateKind::CX};
-    static const std::vector<GateKind> eagle = {
-        GateKind::Rz, GateKind::SX, GateKind::X, GateKind::CX};
-    static const std::vector<GateKind> ionq = {
-        GateKind::Rx, GateKind::Ry, GateKind::Rz, GateKind::Rxx};
-    static const std::vector<GateKind> nam = {
-        GateKind::Rz, GateKind::H, GateKind::X, GateKind::CX};
-    static const std::vector<GateKind> cliffordt = {
-        GateKind::T, GateKind::Tdg, GateKind::S, GateKind::Sdg,
-        GateKind::H, GateKind::X, GateKind::CX};
-    switch (set) {
-      case GateSetKind::Ibmq20:
-        return ibmq20;
-      case GateSetKind::IbmEagle:
-        return eagle;
-      case GateSetKind::IonQ:
-        return ionq;
-      case GateSetKind::Nam:
-        return nam;
-      case GateSetKind::CliffordT:
-        return cliffordt;
-    }
-    support::panic("bad GateSetKind");
-}
-
-bool
-isNative(GateSetKind set, GateKind kind)
-{
-    const auto &gates = nativeGates(set);
-    return std::find(gates.begin(), gates.end(), kind) != gates.end();
+    using namespace detail;
+    static const std::vector<GateKind> lists[] = {
+        {std::begin(kIbmq20Native), std::end(kIbmq20Native)},
+        {std::begin(kEagleNative), std::end(kEagleNative)},
+        {std::begin(kIonqNative), std::end(kIonqNative)},
+        {std::begin(kNamNative), std::end(kNamNative)},
+        {std::begin(kCliffordTNative), std::end(kCliffordTNative)},
+    };
+    const auto i = static_cast<std::size_t>(set);
+    if (i >= std::size(lists))
+        support::panic("bad GateSetKind");
+    return lists[i];
 }
 
 bool

@@ -6,85 +6,131 @@
 namespace guoq {
 namespace linalg {
 
-MinimizeResult
-minimizeAdam(const GradFn &f, std::vector<double> x0,
-             const MinimizeOptions &opts)
+namespace {
+
+constexpr double kLambdaStart = 1e-3;
+constexpr double kLambdaOnAccept = 0.3;
+constexpr double kLambdaOnReject = 4.0;
+constexpr double kLambdaMax = 1e10;
+constexpr int kSlowStepsMax = 8;
+constexpr double kSlowStepGain = 1e-3;
+// A column of J that is (numerically) zero still gets this share of
+// the largest diagonal as damping, so JᵀJ + λD stays definite.
+constexpr double kDiagonalFloor = 1e-12;
+
+double
+dot(const double *a, const double *b, std::size_t n)
 {
-    const std::size_t n = x0.size();
-    std::vector<double> g(n), m(n, 0.0), v(n, 0.0);
-    MinimizeResult best;
-    best.x = x0;
-    best.value = f(x0, nullptr);
-
-    std::vector<double> x = std::move(x0);
-    const double b1 = 0.9, b2 = 0.999, epsn = 1e-8;
-    double b1t = 1.0, b2t = 1.0;
-    int flat = 0;
-    double prev = best.value;
-    // Stall detection: bail when the best value stops improving
-    // meaningfully so multi-start can try a fresh initialization.
-    double stall_ref = best.value;
-    int stall = 0;
-
-    for (int it = 0; it < opts.maxIters; ++it) {
-        if ((it & 31) == 0 && opts.deadline.expired())
-            break;
-        const double fx = f(x, &g);
-        if (fx < best.value) {
-            best.value = fx;
-            best.x = x;
-        }
-        best.iterations = it + 1;
-        if (fx <= opts.tolerance) {
-            best.converged = true;
-            break;
-        }
-        if (best.value < stall_ref * (1.0 - 1e-3) ||
-            best.value < stall_ref - 1e-9) {
-            stall_ref = best.value;
-            stall = 0;
-        } else if (++stall > 140) {
-            break;
-        }
-        if (std::abs(prev - fx) < 1e-14 * std::max(1.0, std::abs(fx))) {
-            if (++flat > 40)
-                break;
-        } else {
-            flat = 0;
-        }
-        prev = fx;
-
-        b1t *= b1;
-        b2t *= b2;
-        for (std::size_t i = 0; i < n; ++i) {
-            m[i] = b1 * m[i] + (1 - b1) * g[i];
-            v[i] = b2 * v[i] + (1 - b2) * g[i] * g[i];
-            const double mh = m[i] / (1 - b1t);
-            const double vh = v[i] / (1 - b2t);
-            x[i] -= opts.learningRate * mh / (std::sqrt(vh) + epsn);
-        }
-    }
-    if (best.value <= opts.tolerance)
-        best.converged = true;
-    return best;
+    double s = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        s += a[i] * b[i];
+    return s;
 }
 
-MinimizeResult
-minimizeMultiStart(const GradFn &f, std::vector<double> x0, int starts,
-                   support::Rng &rng, const MinimizeOptions &opts)
+/**
+ * Solve a·x = b for symmetric positive definite @p a (n x n,
+ * row-major, lower triangle read) in place: a's lower triangle becomes
+ * its Cholesky factor L and b becomes x. False when a pivot is not
+ * positive.
+ */
+bool
+choleskySolve(double *a, double *b, std::size_t n)
 {
-    MinimizeResult best = minimizeAdam(f, x0, opts);
-    for (int s = 1; s < starts && !best.converged; ++s) {
-        if (opts.deadline.expired())
-            break;
-        std::vector<double> x(x0.size());
-        for (auto &xi : x)
-            xi = rng.uniform(-3.14159265358979323846, 3.14159265358979323846);
-        MinimizeResult r = minimizeAdam(f, std::move(x), opts);
-        if (r.value < best.value)
-            best = std::move(r);
+    for (std::size_t j = 0; j < n; ++j) {
+        double *rj = a + j * n;
+        const double d = rj[j] - dot(rj, rj, j);
+        if (!(d > 0))
+            return false;
+        rj[j] = std::sqrt(d);
+        for (std::size_t i = j + 1; i < n; ++i) {
+            double *ri = a + i * n;
+            ri[j] = (ri[j] - dot(ri, rj, j)) / rj[j];
+        }
     }
-    return best;
+    for (std::size_t i = 0; i < n; ++i)
+        b[i] = (b[i] - dot(a + i * n, b, i)) / a[i * n + i];
+    for (std::size_t i = n; i-- > 0;) {
+        double s = b[i];
+        for (std::size_t k = i + 1; k < n; ++k)
+            s -= a[k * n + i] * b[k];
+        b[i] = s / a[i * n + i];
+    }
+    return true;
+}
+
+} // namespace
+
+MinimizeResult
+minimizeLevenbergMarquardt(const ResidualFn &residuals, const CostFn &cost,
+                           std::size_t num_residuals, std::vector<double> x0,
+                           const MinimizeOptions &opts)
+{
+    const std::size_t n = x0.size();
+    const std::size_t m = num_residuals;
+    std::vector<double> r(m), jac(m * n), jtj(n * n), jtr(n), diag(n);
+    std::vector<double> damped(n * n), step(n), trial(n);
+
+    MinimizeResult res;
+    res.x = std::move(x0);
+    res.value = residuals(res.x, r.data(), jac.data());
+    res.evaluations = res.jacobians = 1;
+
+    double lambda = kLambdaStart;
+    int slow = 0;
+    bool fresh = true; // jac is new since jtj was last formed
+    while (res.value > opts.tolerance && res.iterations < opts.maxIters &&
+           !opts.deadline.expired()) {
+        if (fresh) {
+            fresh = false;
+            bool stationary = true;
+            double max_diag = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                const double *ci = jac.data() + i * m;
+                for (std::size_t j = 0; j <= i; ++j)
+                    jtj[i * n + j] = dot(ci, jac.data() + j * m, m);
+                jtr[i] = dot(ci, r.data(), m);
+                stationary = stationary && jtr[i] == 0;
+                max_diag = std::max(max_diag, jtj[i * n + i]);
+            }
+            if (stationary)
+                break;
+            for (std::size_t i = 0; i < n; ++i)
+                diag[i] = std::max(jtj[i * n + i], kDiagonalFloor * max_diag);
+        }
+
+        ++res.iterations;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double *row = jtj.data() + i * n;
+            std::copy(row, row + i + 1, damped.data() + i * n);
+            damped[i * n + i] += lambda * diag[i];
+            step[i] = -jtr[i];
+        }
+        if (choleskySolve(damped.data(), step.data(), n)) {
+            for (std::size_t i = 0; i < n; ++i)
+                trial[i] = res.x[i] + step[i];
+            const double ft = cost(trial);
+            ++res.evaluations;
+            if (ft < res.value) {
+                slow = res.value - ft < kSlowStepGain * res.value ? slow + 1
+                                                                 : 0;
+                res.x.swap(trial);
+                res.value = ft;
+                if (ft <= opts.tolerance || slow >= kSlowStepsMax)
+                    break;
+                res.value = residuals(res.x, r.data(), jac.data());
+                ++res.evaluations;
+                ++res.jacobians;
+                fresh = true;
+                lambda *= kLambdaOnAccept;
+                continue;
+            }
+        }
+        lambda *= kLambdaOnReject;
+        if (lambda > kLambdaMax)
+            break;
+    }
+    res.converged = res.value <= opts.tolerance;
+    return res;
 }
 
 } // namespace linalg

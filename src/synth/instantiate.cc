@@ -20,6 +20,10 @@ isOne(Complex c)
     return c.real() == 1.0 && c.imag() == 0.0;
 }
 
+// Damped steps per start. A start that converges takes a few tens; the
+// slow-progress stop ends most that would not well before the cap.
+constexpr int kMaxStepsPerStart = 100;
+
 } // namespace
 
 AnsatzEvaluator::AnsatzEvaluator(const Ansatz &ansatz,
@@ -132,9 +136,8 @@ AnsatzEvaluator::traceWithGenerator(const Complex *b, const Complex *m,
     return t;
 }
 
-double
-AnsatzEvaluator::costAndGrad(const std::vector<double> &params,
-                             std::vector<double> *grad)
+Complex
+AnsatzEvaluator::bindPrefixes(const std::vector<double> &params)
 {
     if (params.size() != numParams_)
         support::panic(support::strcat("AnsatzEvaluator: ", params.size(),
@@ -142,7 +145,6 @@ AnsatzEvaluator::costAndGrad(const std::vector<double> &params,
                                        " free angles"));
     const std::size_t dim = dim_;
     const std::size_t dim2 = dim * dim;
-    const double n = static_cast<double>(dim);
     const std::size_t m = slots_.size();
     Complex *const arena = arena_.data();
 
@@ -168,6 +170,19 @@ AnsatzEvaluator::costAndGrad(const std::vector<double> &params,
     for (std::size_t i = 0; i < dim; ++i)
         for (std::size_t j = 0; j < dim; ++j)
             t += linalg::mulFinite(udag_[i * dim + j], v[j * dim + i]);
+    return t;
+}
+
+double
+AnsatzEvaluator::costAndGrad(const std::vector<double> &params,
+                             std::vector<double> *grad)
+{
+    const Complex t = bindPrefixes(params);
+    const std::size_t dim = dim_;
+    const std::size_t dim2 = dim * dim;
+    const double n = static_cast<double>(dim);
+    const std::size_t m = slots_.size();
+    Complex *const arena = arena_.data();
     const double abs_t = std::abs(t);
     const double cost = std::max(0.0, 1.0 - abs_t / n);
     if (!grad)
@@ -199,6 +214,64 @@ AnsatzEvaluator::costAndGrad(const std::vector<double> &params,
 }
 
 double
+AnsatzEvaluator::residuals(const std::vector<double> &params, double *r,
+                           double *jac)
+{
+    const Complex t = bindPrefixes(params);
+    const std::size_t dim = dim_;
+    const std::size_t dim2 = dim * dim;
+    const std::size_t rows = numResiduals();
+    const std::size_t m = slots_.size();
+    Complex *const arena = arena_.data();
+    const double abs_t = std::abs(t);
+    const double cost =
+        std::max(0.0, 1.0 - abs_t / static_cast<double>(dim));
+    // e^{-iφ}; any phase serves where T = 0 leaves φ undefined.
+    const Complex align = abs_t < 1e-300 ? Complex(1.0) : std::conj(t) / abs_t;
+    const Complex col_scale = linalg::mulFinite(align, Complex(0, -0.5));
+
+    std::fill(jac, jac + rows * numParams_, 0.0);
+    // The backward sweep of costAndGrad, carried one gate further:
+    // after absorbing F_0, B is U†V = M.
+    Complex *b = arena + m * dim2;
+    std::copy(udag_.begin(), udag_.end(), b);
+    for (std::size_t k = m; k-- > 0;) {
+        const Slot &s = slots_[k];
+        if (s.paramIndex >= 0) {
+            // Column = col_scale · B_k · (P_k · prefix_k), where row l
+            // of P_k · prefix_k is phase_l · prefix_k[src_l].
+            const Complex *pre = arena + k * dim2;
+            double *re = jac + static_cast<std::size_t>(s.paramIndex) * rows;
+            double *im = re + dim2;
+            for (std::size_t i = 0; i < dim; ++i) {
+                for (std::size_t l = 0; l < dim; ++l) {
+                    const GeneratorRow &row = s.gen[l];
+                    Complex c = linalg::mulFinite(col_scale, b[i * dim + l]);
+                    if (row.mul)
+                        c = linalg::mulFinite(c, row.phase);
+                    const Complex *src = pre + row.src * dim;
+                    for (std::size_t j = 0; j < dim; ++j) {
+                        const Complex x = linalg::mulFinite(c, src[j]);
+                        re[i * dim + j] += x.real();
+                        im[i * dim + j] += x.imag();
+                    }
+                }
+            }
+        }
+        sim::applyRight(b, dim, s.gate);
+    }
+
+    for (std::size_t i = 0; i < dim2; ++i) {
+        const Complex x = linalg::mulFinite(align, b[i]);
+        r[i] = x.real();
+        r[dim2 + i] = x.imag();
+    }
+    for (std::size_t i = 0; i < dim; ++i)
+        r[i * dim + i] -= 1.0;
+    return cost;
+}
+
+double
 hsCostAndGrad(const Ansatz &ansatz, const ComplexMatrix &target,
               const std::vector<double> &params, std::vector<double> *grad)
 {
@@ -218,36 +291,55 @@ instantiate(const Ansatz &ansatz, const ComplexMatrix &target, double eps,
         linalg::hsCostThresholdForDistance(eps_eff) * 0.25;
 
     AnsatzEvaluator eval(ansatz, target);
-    linalg::GradFn fn = [&eval](const std::vector<double> &x,
-                                std::vector<double> *g) {
-        return eval.costAndGrad(x, g);
+    const linalg::ResidualFn residuals =
+        [&eval](const std::vector<double> &x, double *r, double *jac) {
+            return eval.residuals(x, r, jac);
+        };
+    const linalg::CostFn cost = [&eval](const std::vector<double> &x) {
+        return eval.costAndGrad(x, nullptr);
     };
 
     linalg::MinimizeOptions opts;
-    opts.maxIters = 600;
+    opts.maxIters = kMaxStepsPerStart;
     opts.tolerance = cost_threshold;
-    opts.learningRate = 0.1;
     opts.deadline = deadline;
 
     // First start: the warm-start hint when given (tail randomized),
     // otherwise fully random — the all-zero (identity) point is a
     // near-stationary plateau of the HS cost for most targets.
-    std::vector<double> x0(static_cast<std::size_t>(ansatz.numParams()));
-    for (std::size_t i = 0; i < x0.size(); ++i) {
+    std::vector<double> x(static_cast<std::size_t>(ansatz.numParams()));
+    for (std::size_t i = 0; i < x.size(); ++i) {
         if (hint && i < hint->size())
-            x0[i] = (*hint)[i] + rng.uniform(-0.05, 0.05);
+            x[i] = (*hint)[i] + rng.uniform(-0.05, 0.05);
         else
-            x0[i] = rng.uniform(-M_PI, M_PI);
+            x[i] = rng.uniform(-M_PI, M_PI);
     }
-    const linalg::MinimizeResult r = linalg::minimizeMultiStart(
-        fn, std::move(x0), restarts < 1 ? 1 : restarts, rng, opts);
+    linalg::MinimizeResult best;
+    int evaluations = 0;
+    int jacobians = 0;
+    for (int s = 0; s < std::max(restarts, 1); ++s) {
+        if (s > 0) {
+            if (best.converged || deadline.expired())
+                break;
+            for (double &xi : x)
+                xi = rng.uniform(-M_PI, M_PI);
+        }
+        linalg::MinimizeResult r = linalg::minimizeLevenbergMarquardt(
+            residuals, cost, eval.numResiduals(), x, opts);
+        evaluations += r.evaluations;
+        jacobians += r.jacobians;
+        if (s == 0 || r.value < best.value)
+            best = std::move(r);
+    }
 
     InstantiateResult result;
-    result.params = r.x;
+    result.params = std::move(best.x);
     // Δ = sqrt(cost · (2 - cost)) from cost = 1 - |T|/N.
     result.hsDistanceValue =
-        std::sqrt(std::max(0.0, r.value * (2.0 - r.value)));
+        std::sqrt(std::max(0.0, best.value * (2.0 - best.value)));
     result.success = result.hsDistanceValue <= eps_eff;
+    result.evaluations = evaluations;
+    result.jacobians = jacobians;
     return result;
 }
 

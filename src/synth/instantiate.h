@@ -1,8 +1,9 @@
 /**
  * @file
  * Numerical instantiation: fit an ansatz's free angles to a target
- * unitary by minimizing the Hilbert–Schmidt cost with analytic
- * gradients (the BQSKit-style inner loop of circuit synthesis).
+ * unitary by minimizing the Hilbert–Schmidt cost with Levenberg–
+ * Marquardt on its residuals and analytic Jacobian (BQSKit's
+ * instantiation path, the inner loop of circuit synthesis).
  */
 
 #pragma once
@@ -26,17 +27,22 @@ struct InstantiateResult
     std::vector<double> params;
     double hsDistanceValue = 1.0; //!< Δ(target, ansatz(params))
     bool success = false;         //!< Δ ≤ the requested threshold
+    int evaluations = 0;          //!< cost calls over all starts
+    int jacobians = 0;            //!< of those, residual/Jacobian calls
 };
 
 /**
  * Fit @p ansatz to @p target so that the Hilbert–Schmidt distance is
- * at most @p eps (Def. 3.2); multi-start Adam with analytic gradients.
+ * at most @p eps (Def. 3.2): multi-start Levenberg–Marquardt
+ * (linalg::minimizeLevenbergMarquardt) over AnsatzEvaluator's
+ * residuals. Starts run until one fits or @p restarts have run.
  *
  * @param target   the 2^n x 2^n target unitary.
  * @param eps      distance threshold defining success; eps = 0 is
  *                 interpreted as numerically-exact (1e-7, the metric's
  *                 resolution at machine precision).
- * @param restarts total Adam starts (the first uses @p hint when given).
+ * @param restarts total starts (the first uses @p hint when given; each
+ *                 later one draws numParams() uniform angles).
  * @param hint     warm-start parameters, e.g. the parent structure's
  *                 fit in QSearch; may be shorter than numParams() (the
  *                 tail is randomized).
@@ -48,8 +54,9 @@ InstantiateResult instantiate(const Ansatz &ansatz,
                               const std::vector<double> *hint = nullptr);
 
 /**
- * The Hilbert–Schmidt cost of one (ansatz, target) pair, evaluated
- * many times: the inner loop of instantiate().
+ * The Hilbert–Schmidt cost of one (ansatz, target) pair, its gradient,
+ * and its residuals and Jacobian, evaluated many times: the inner loop
+ * of instantiate().
  *
  * Construction checks the shapes (target 2^n x 2^n, every slot's
  * qubits inside the register) and binds each slot once: geometry for
@@ -80,6 +87,22 @@ class AnsatzEvaluator
     double costAndGrad(const std::vector<double> &params,
                        std::vector<double> *grad);
 
+    /** 2N², the length of the residual vector. */
+    std::size_t numResiduals() const { return 2 * dim_ * dim_; }
+
+    /**
+     * The residuals of e^{−iφ}·M − I at @p params, where M = U†V and
+     * φ = arg Tr M: @p r gets the N² real parts, then the N² imaginary
+     * parts (row-major). Their squared norm is 2N times the cost,
+     * which is returned (bit-equal to costAndGrad's). @p jac gets the
+     * Jacobian in the angles with φ held fixed, column-major: column
+     * p = e^{−iφ}·(−i/2)·B_k·(P_k·prefix_k) for the slot k that p
+     * drives (zero when no slot does), at jac + p·numResiduals().
+     * Allocates nothing.
+     */
+    double residuals(const std::vector<double> &params, double *r,
+                     double *jac);
+
   private:
     /** One row of P·M: phase · M[src] when mul, else M[src]. */
     struct GeneratorRow
@@ -102,6 +125,11 @@ class AnsatzEvaluator
     linalg::Complex traceWithGenerator(const linalg::Complex *b,
                                        const linalg::Complex *m,
                                        const Generator &gen) const;
+    /**
+     * Bind @p params, build the prefixes in the arena, and return
+     * Tr(U†V).
+     */
+    linalg::Complex bindPrefixes(const std::vector<double> &params);
 
     int numQubits_;
     std::size_t numParams_;

@@ -34,7 +34,7 @@ struct QSearchOptions
 {
     double epsilon = 1e-8;       //!< target HS distance
     int maxEntanglers = 10;      //!< structure depth cap
-    int restartsPerNode = 4;     //!< Adam restarts per structure
+    int restartsPerNode = 4;     //!< instantiation starts per structure
     bool useRxx = false;         //!< IonQ: parameterized Rxx entangler
     support::Deadline deadline;  //!< wall-clock budget
 

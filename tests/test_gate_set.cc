@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ir/gate_set.h"
 
 namespace guoq {
@@ -78,9 +80,15 @@ TEST(GateSet, EntanglingGate)
 
 TEST(GateSet, NativeGateListsConsistentWithPredicate)
 {
-    for (ir::GateSetKind set : ir::allGateSets())
-        for (ir::GateKind kind : ir::nativeGates(set))
-            EXPECT_TRUE(ir::isNative(set, kind));
+    for (ir::GateSetKind set : ir::allGateSets()) {
+        const std::vector<ir::GateKind> &list = ir::nativeGates(set);
+        for (int k = 0; k < static_cast<int>(ir::GateKind::NumKinds); ++k) {
+            const auto kind = static_cast<ir::GateKind>(k);
+            EXPECT_EQ(ir::isNative(set, kind),
+                      std::find(list.begin(), list.end(), kind) != list.end())
+                << ir::gateSetName(set) << " " << ir::gateName(kind);
+        }
+    }
 }
 
 } // namespace
